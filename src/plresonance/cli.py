@@ -21,9 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,40 +159,117 @@ class RunConfig:
     expressions: dict = field(default_factory=dict)  # key -> parsed Expression
 
 
-def _take(section: dict, key: str, required: bool, section_name: str):
-    if key not in section:
-        if required:
-            raise ConfigError(f"[{section_name}] missing required key '{key}'")
+def _numbers(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+class _Key(NamedTuple):
+    section: str
+    key: str
+    type: object  # int, float, str, BCKind, _numbers, or the variables of an expression, as "xyu"
+    check: object = None  # predicate on (value, every value read so far, defaults included)
+    message: str = ""  # error when check fails; "{}" takes the value
+    required: bool = False
+    when: tuple | None = None  # (key, value) an earlier key must have for this key to exist
+
+
+_TYPE_ERRORS = {
+    int: "expected an integer, got {!r}",
+    float: "expected a number, got {!r}",
+    BCKind: "must be 'dirichlet' or 'neumann', got {!r}",
+    _numbers: "expected comma-separated numbers",
+}
+
+_IN_1D = ("dimension", 1)
+_IN_2D = ("dimension", 2)
+_NEUMANN_ONLY = ("bc", BCKind.NEUMANN)
+
+
+# Every config key, in reading order.  Keys are unique across sections, and
+# a key without a row here is rejected as unknown.
+_SCHEMA = (
+    _Key("domain", "dimension", int, lambda v, _: v in (1, 2), "must be 1 or 2", required=True),
+    _Key("domain", "xmin", float, required=True),
+    _Key("domain", "xmax", float, lambda v, s: v > s["xmin"], "must exceed xmin", required=True),
+    _Key("domain", "n", int, lambda v, _: v >= 2, "must be >= 2", required=True, when=_IN_1D),
+    _Key("domain", "ymin", float, required=True, when=_IN_2D),
+    _Key("domain", "ymax", float, lambda v, s: v > s["ymin"], "must exceed ymin", required=True, when=_IN_2D),
+    _Key("domain", "nx", int, lambda v, _: v >= 2, "must be >= 2", required=True, when=_IN_2D),
+    _Key("domain", "ny", int, lambda v, _: v >= 2, "must be >= 2", required=True, when=_IN_2D),
+    _Key("problem", "p", float, lambda v, _: not v < 2, "must satisfy p >= 2, got {}", required=True),
+    _Key("problem", "bc", BCKind, required=True),
+    _Key("problem", "f", "xyu", required=True),
+    _Key("problem", "F", "xyu"),
+    _Key("problem", "g", "xyu", required=True, when=_NEUMANN_ONLY),
+    _Key("problem", "G", "xyu", when=_NEUMANN_ONLY),
+    _Key("problem", "consistency_u_min", float),
+    _Key("problem", "consistency_u_max", float, lambda v, s: v > s["consistency_u_min"], "must exceed consistency_u_min"),
+    _Key("hypotheses", "theta", "xy", required=True),
+    _Key("hypotheses", "mu", "xy", required=True),
+    _Key("hypotheses", "h", "t", required=True),
+    _Key("hypotheses", "a", "xy", required=True),
+    _Key("hypotheses", "c1", float, lambda v, _: not v < 0, "must be >= 0", required=True),
+    _Key("hypotheses", "h_boundary", "xy", when=_NEUMANN_ONLY),
+    _Key("hypotheses", "u_min", float, lambda v, _: v > 0, "must be > 0"),
+    _Key("hypotheses", "u_max", float, lambda v, _: v > 0, "must be > 0"),
+    _Key("hypotheses", "ll_u_min", float, lambda v, _: v > 0, "must be > 0"),
+    _Key("hypotheses", "ll_u_max", float, lambda v, _: v > 0, "must be > 0"),
+    _Key("hypotheses", "vanish_u_min", float, lambda v, _: v > 0, "must be > 0"),
+    _Key("hypotheses", "vanish_u_max", float, lambda v, _: v > 0, "must be > 0"),
+    _Key("hypotheses", "signs", str, lambda v, _: v in ("both", "positive", "negative"), "must be both, positive, or negative"),
+    _Key("solver", "eig_tol", float, lambda v, _: v > 0, "must be positive"),
+    _Key("solver", "tol", float, lambda v, _: v > 0, "must be positive"),
+    _Key("solver", "a_max", float, lambda v, _: v > 0, "must be positive"),
+    _Key("solver", "eig_max_iter", int, lambda v, _: v >= 1, "out of range"),
+    _Key("solver", "max_iter", int, lambda v, _: v >= 1, "out of range"),
+    _Key("solver", "path_nodes", int, lambda v, _: v >= 3, "out of range"),
+    _Key("solver", "directions", int, lambda v, _: v >= 1, "out of range"),
+    _Key("solver", "sphere_steps", int, lambda v, _: v >= 1, "out of range"),
+    _Key("solver", "low_point_steps", int, lambda v, _: v >= 2, "out of range"),
+    _Key("solver", "seed", int),
+    _Key("solver", "rho_grid", _numbers, lambda v, _: bool(v) and not any(r <= 0 for r in v), "needs positive entries"),
+)
+
+_SECTIONS = {"domain": DomainConfig, "problem": ProblemConfig, "hypotheses": HypothesesConfig, "solver": SolverConfig}
+
+
+def _read_expression(row: _Key, text: str, dimension: int, expressions: dict):
+    """Unquoted text of an expression key; its parse goes into ``expressions``.
+
+    The antiderivatives F and G may be given as the bare word numeric, read
+    as None (quadrature of f or g); ``y`` is no variable in 1D.
+    """
+    if row.key in ("F", "G") and text == "numeric":
         return None
-    value, _ = section.pop(key)
-    return value
-
-
-def _as_float(value: str, key: str) -> float:
+    if not (len(text) >= 2 and text[0] == '"' and text[-1] == '"'):
+        raise ConfigError(f"key '{row.key}': expression values must be quoted strings")
+    allowed = set(row.type) - ({"y"} if dimension == 1 else set())
     try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected a number, got {value!r}") from None
+        expressions[row.key] = ex.parse(text[1:-1], allowed)
+    except ex.ExprError as err:
+        raise ConfigError(f"key '{row.key}': {err}") from None
+    return text[1:-1]
 
 
-def _as_int(value: str, key: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected an integer, got {value!r}") from None
-
-
-def _as_expr_text(value: str, key: str) -> str:
-    if len(value) >= 2 and value[0] == '"' and value[-1] == '"':
-        return value[1:-1]
-    raise ConfigError(f"key '{key}': expression values must be quoted strings")
-
-
-def _reject_unknown(section: dict, name: str):
-    if section:
-        key = sorted(section)[0]
-        _, lineno = section[key]
-        raise ConfigError(f"line {lineno}: unknown key '{key}' in section [{name}]")
+def _read_key(row: _Key, raw: dict, values: dict, expressions: dict):
+    """Convert and check one key of a parsed section into ``values``."""
+    if row.when is not None and values[row.when[0]] != row.when[1]:
+        if row.when is _NEUMANN_ONLY and row.key in raw:
+            raise ConfigError(f"line {raw[row.key][1]}: key '{row.key}' is only valid for bc = neumann")
+        return  # a key of the other dimension is left to the unknown-key check
+    if row.key in raw:
+        text, _ = raw.pop(row.key)
+        if isinstance(row.type, str):
+            values[row.key] = _read_expression(row, text, values["dimension"], expressions)
+        else:
+            try:
+                values[row.key] = row.type(text)
+            except ValueError:
+                raise ConfigError(f"key '{row.key}': " + _TYPE_ERRORS[row.type].format(text)) from None
+    elif row.required:
+        raise ConfigError(f"[{row.section}] missing required key '{row.key}'")
+    if row.check is not None and not row.check(values[row.key], values):
+        raise ConfigError(f"key '{row.key}': " + row.message.format(values[row.key]))
 
 
 def load_config(path) -> RunConfig:
@@ -206,176 +284,34 @@ def load_config(path) -> RunConfig:
     for required_section in ("domain", "problem"):
         if required_section not in sections:
             raise ConfigError(f"missing required section [{required_section}]")
-    known_sections = {"domain", "problem", "hypotheses", "solver"}
     for name in sections:
-        if name not in known_sections:
+        if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]")
 
-    dom_raw = sections["domain"]
-    dimension = _as_int(_take(dom_raw, "dimension", True, "domain"), "dimension")
-    if dimension not in (1, 2):
-        raise ConfigError("key 'dimension': must be 1 or 2")
-    xmin = _as_float(_take(dom_raw, "xmin", True, "domain"), "xmin")
-    xmax = _as_float(_take(dom_raw, "xmax", True, "domain"), "xmax")
-    if dimension == 1:
-        n = _as_int(_take(dom_raw, "n", True, "domain"), "n")
-        if n < 2:
-            raise ConfigError("key 'n': must be >= 2")
-        domain = DomainConfig(dimension, xmin, xmax, n=n)
-    else:
-        ymin = _as_float(_take(dom_raw, "ymin", True, "domain"), "ymin")
-        ymax = _as_float(_take(dom_raw, "ymax", True, "domain"), "ymax")
-        nx = _as_int(_take(dom_raw, "nx", True, "domain"), "nx")
-        ny = _as_int(_take(dom_raw, "ny", True, "domain"), "ny")
-        if nx < 2 or ny < 2:
-            raise ConfigError("key 'nx'/'ny': must be >= 2")
-        domain = DomainConfig(dimension, xmin, xmax, ymin=ymin, ymax=ymax, nx=nx, ny=ny)
-    if not xmax > xmin:
-        raise ConfigError("key 'xmax': must exceed xmin")
-    if dimension == 2 and not domain.ymax > domain.ymin:
-        raise ConfigError("key 'ymax': must exceed ymin")
-    _reject_unknown(dom_raw, "domain")
-
-    prob_raw = sections["problem"]
-    p_val = _as_float(_take(prob_raw, "p", True, "problem"), "p")
-    if p_val < 2:
-        raise ConfigError(f"key 'p': must satisfy p >= 2, got {p_val}")
-    bc_text = _take(prob_raw, "bc", True, "problem")
-    try:
-        bc = BCKind(bc_text)
-    except ValueError:
-        raise ConfigError(f"key 'bc': must be 'dirichlet' or 'neumann', got {bc_text!r}") from None
-    f_text = _as_expr_text(_take(prob_raw, "f", True, "problem"), "f")
-    big_f_raw = _take(prob_raw, "F", False, "problem")
-    big_f = None
-    if big_f_raw is not None and big_f_raw != "numeric":
-        big_f = _as_expr_text(big_f_raw, "F")
-    g_text = None
-    big_g = None
-    if bc is BCKind.NEUMANN:
-        g_text = _as_expr_text(_take(prob_raw, "g", True, "problem"), "g")
-        big_g_raw = _take(prob_raw, "G", False, "problem")
-        if big_g_raw is not None and big_g_raw != "numeric":
-            big_g = _as_expr_text(big_g_raw, "G")
-    else:
-        for forbidden in ("g", "G"):
-            if forbidden in prob_raw:
-                _, lineno = prob_raw[forbidden]
-                raise ConfigError(f"line {lineno}: key '{forbidden}' is only valid for bc = neumann")
-    problem = ProblemConfig(p=p_val, bc=bc, f=f_text, F=big_f, g=g_text, G=big_g)
-    for key in ("consistency_u_min", "consistency_u_max"):
-        raw = _take(prob_raw, key, False, "problem")
-        if raw is not None:
-            setattr(problem, key, _as_float(raw, key))
-    if not problem.consistency_u_max > problem.consistency_u_min:
-        raise ConfigError("key 'consistency_u_max': must exceed consistency_u_min")
-    _reject_unknown(prob_raw, "problem")
-
-    hypotheses = None
-    if "hypotheses" in sections:
-        hyp_raw = sections["hypotheses"]
-        theta = _as_expr_text(_take(hyp_raw, "theta", True, "hypotheses"), "theta")
-        mu = _as_expr_text(_take(hyp_raw, "mu", True, "hypotheses"), "mu")
-        h_text = _as_expr_text(_take(hyp_raw, "h", True, "hypotheses"), "h")
-        a_text = _as_expr_text(_take(hyp_raw, "a", True, "hypotheses"), "a")
-        c1 = _as_float(_take(hyp_raw, "c1", True, "hypotheses"), "c1")
-        if c1 < 0:
-            raise ConfigError("key 'c1': must be >= 0")
-        hb_raw = _take(hyp_raw, "h_boundary", False, "hypotheses")
-        h_boundary = None
-        if hb_raw is not None:
-            if bc is not BCKind.NEUMANN:
-                raise ConfigError("key 'h_boundary' is only valid for bc = neumann")
-            h_boundary = _as_expr_text(hb_raw, "h_boundary")
-        kwargs = {}
-        for key, conv, cond, why in (
-            ("u_min", _as_float, lambda v: v > 0, "must be > 0"),
-            ("u_max", _as_float, lambda v: v > 0, "must be > 0"),
-            ("ll_u_min", _as_float, lambda v: v > 0, "must be > 0"),
-            ("ll_u_max", _as_float, lambda v: v > 0, "must be > 0"),
-            ("vanish_u_min", _as_float, lambda v: v > 0, "must be > 0"),
-            ("vanish_u_max", _as_float, lambda v: v > 0, "must be > 0"),
-        ):
-            raw = _take(hyp_raw, key, False, "hypotheses")
-            if raw is not None:
-                val = conv(raw, key)
-                if not cond(val):
-                    raise ConfigError(f"key '{key}': {why}")
-                kwargs[key] = val
-        signs_raw = _take(hyp_raw, "signs", False, "hypotheses")
-        if signs_raw is not None:
-            if signs_raw not in ("both", "positive", "negative"):
-                raise ConfigError("key 'signs': must be both, positive, or negative")
-            kwargs["signs"] = signs_raw
-        hypotheses = HypothesesConfig(theta=theta, mu=mu, h=h_text, a=a_text, c1=c1, h_boundary=h_boundary, **kwargs)
-        _reject_unknown(hyp_raw, "hypotheses")
-
-    solver = SolverConfig()
-    if "solver" in sections:
-        sol_raw = sections["solver"]
-        floats = {"eig_tol": (lambda v: v > 0), "tol": (lambda v: v > 0), "a_max": (lambda v: v > 0)}
-        for key, cond in floats.items():
-            raw = _take(sol_raw, key, False, "solver")
-            if raw is not None:
-                val = _as_float(raw, key)
-                if not cond(val):
-                    raise ConfigError(f"key '{key}': must be positive")
-                setattr(solver, key, val)
-        ints = {
-            "eig_max_iter": (lambda v: v >= 1),
-            "max_iter": (lambda v: v >= 1),
-            "path_nodes": (lambda v: v >= 3),
-            "directions": (lambda v: v >= 1),
-            "sphere_steps": (lambda v: v >= 1),
-            "low_point_steps": (lambda v: v >= 2),
-            "seed": (lambda v: True),
-        }
-        for key, cond in ints.items():
-            raw = _take(sol_raw, key, False, "solver")
-            if raw is not None:
-                val = _as_int(raw, key)
-                if not cond(val):
-                    raise ConfigError(f"key '{key}': out of range")
-                setattr(solver, key, val)
-        rho_raw = _take(sol_raw, "rho_grid", False, "solver")
-        if rho_raw is not None:
-            try:
-                grid = tuple(float(tok) for tok in rho_raw.split(",") if tok.strip())
-            except ValueError:
-                raise ConfigError("key 'rho_grid': expected comma-separated numbers") from None
-            if not grid or any(r <= 0 for r in grid):
-                raise ConfigError("key 'rho_grid': needs positive entries")
-            solver.rho_grid = grid
-        _reject_unknown(sol_raw, "solver")
-
-    config = RunConfig(domain=domain, problem=problem, hypotheses=hypotheses, solver=solver)
-    _parse_expressions(config)
-    return config
-
-
-def _parse_expressions(config: RunConfig):
-    """Parse every expression eagerly so syntax errors surface up front."""
-    spatial = {"x"} if config.domain.dimension == 1 else {"x", "y"}
-    with_u = spatial | {"u"}
-    slots = [("f", config.problem.f, with_u), ("F", config.problem.F, with_u)]
-    if config.problem.bc is BCKind.NEUMANN:
-        slots += [("g", config.problem.g, with_u), ("G", config.problem.G, with_u)]
-    if config.hypotheses is not None:
-        hyp = config.hypotheses
-        slots += [
-            ("theta", hyp.theta, spatial),
-            ("mu", hyp.mu, spatial),
-            ("a", hyp.a, spatial),
-            ("h", hyp.h, {"t"}),
-            ("h_boundary", hyp.h_boundary, spatial),
-        ]
-    for key, text, allowed in slots:
-        if text is None:
+    # defaults first, so checks and conditions see every key of a section
+    values = {f.name: f.default for cls in _SECTIONS.values() for f in fields(cls) if f.default is not MISSING}
+    expressions: dict = {}
+    for name in _SECTIONS:
+        raw = sections.get(name)
+        if raw is None:
             continue
-        try:
-            config.expressions[key] = ex.parse(text, allowed)
-        except ex.ExprError as err:
-            raise ConfigError(f"key '{key}': {err}") from None
+        for row in _SCHEMA:
+            if row.section == name:
+                _read_key(row, raw, values, expressions)
+        if raw:
+            key = sorted(raw)[0]
+            raise ConfigError(f"line {raw[key][1]}: unknown key '{key}' in section [{name}]")
+
+    def typed(cls):
+        return cls(**{f.name: values[f.name] for f in fields(cls)})
+
+    return RunConfig(
+        domain=typed(DomainConfig),
+        problem=typed(ProblemConfig),
+        hypotheses=typed(HypothesesConfig) if "hypotheses" in sections else None,
+        solver=typed(SolverConfig),
+        expressions=expressions,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .mesh import (
     mean_value,
     p_mass_vector,
     p_stiffness_vector,
+    project_admissible,
 )
 
 __all__ = ["EigenPair", "ConvergenceError", "compute_first_eigenpair", "rayleigh_quotient"]
@@ -64,14 +65,6 @@ def rayleigh_quotient(u: Field, p: float) -> float:
     return grad_seminorm_p(u, p) / den
 
 
-def _project(mesh: Mesh, bc: BCKind, v: np.ndarray) -> np.ndarray:
-    if bc is BCKind.DIRICHLET:
-        v = v.copy()
-        v[mesh.boundary_nodes] = 0.0
-        return v
-    return v - mean_value(Field(mesh, v))
-
-
 def compute_first_eigenpair(
     mesh: Mesh,
     p: float,
@@ -91,7 +84,7 @@ def compute_first_eigenpair(
     rng = np.random.default_rng(seed)
     riesz = RieszMap(mesh, bc)
 
-    u = _project(mesh, bc, rng.uniform(0.5, 1.5, mesh.node_count))
+    u = project_admissible(mesh, bc, rng.uniform(0.5, 1.5, mesh.node_count))
     den = lp_norm_p(Field(mesh, u), p)
     if den < 1e-300:
         raise ValueError("initial iterate projects to the zero field")
@@ -106,15 +99,15 @@ def compute_first_eigenpair(
     step = 1.0
     while iterations < max_iter:
         iterations += 1
-        grad = _project(mesh, bc, (p * p_stiffness_vector(mesh, u, p) - rq * p * p_mass_vector(mesh, u, p)) / den)
-        d = _project(mesh, bc, riesz.solve(grad))
+        grad = project_admissible(mesh, bc, (p * p_stiffness_vector(mesh, u, p) - rq * p * p_mass_vector(mesh, u, p)) / den)
+        d = project_admissible(mesh, bc, riesz.solve(grad))
         slope = float(grad @ d)
         if slope <= 0.0:
             converged = True
             break
 
         def _ray_value(t):
-            v = _project(mesh, bc, u - t * d)
+            v = project_admissible(mesh, bc, u - t * d)
             dv = lp_norm_p(Field(mesh, v), p)
             if dv <= 1e-300:
                 return np.inf, v, dv
@@ -140,7 +133,7 @@ def compute_first_eigenpair(
             t *= _ARMIJO_SHRINK
             t_rq, trial, tden = h_rq, h_trial, h_den
         step = t
-        u = _project(mesh, bc, trial / tden ** (1.0 / p))
+        u = project_admissible(mesh, bc, trial / tden ** (1.0 / p))
         num = grad_seminorm_p(Field(mesh, u), p)
         den = lp_norm_p(Field(mesh, u), p)
         new_rq = num / den
@@ -151,7 +144,7 @@ def compute_first_eigenpair(
             break
 
     # residual: dual norm of the projected Rayleigh gradient at the final iterate
-    grad = _project(mesh, bc, (p * p_stiffness_vector(mesh, u, p) - rq * p * p_mass_vector(mesh, u, p)) / den)
+    grad = project_admissible(mesh, bc, (p * p_stiffness_vector(mesh, u, p) - rq * p * p_mass_vector(mesh, u, p)) / den)
     residual = float(np.sqrt(max(float(grad @ riesz.solve(grad)), 0.0)))
 
     if not converged:

@@ -47,6 +47,7 @@ __all__ = [
     "RieszMap",
     "write_field_csv",
     "is_dirichlet_admissible",
+    "project_admissible",
 ]
 
 
@@ -305,43 +306,40 @@ def is_dirichlet_admissible(u: Field) -> bool:
     return bool(np.all(u.values[u.mesh.boundary_nodes] == 0.0))
 
 
+def project_admissible(mesh: Mesh, bc: BCKind, v: np.ndarray) -> np.ndarray:
+    """Projection onto the admissible space: boundary-zero (Dirichlet) or zero-mean (Neumann) fields."""
+    if bc is BCKind.DIRICHLET:
+        v = v.copy()
+        v[mesh.boundary_nodes] = 0.0
+        return v
+    return v - mean_value(Field(mesh, v))
+
+
 # --------------------------------------------------------------------------
 # Assembly
 
 
+def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
+    """Sparse matrix summing the element entries local(i, j), shape (E,), over local node pairs."""
+    nl = mesh.dimension + 1
+    pairs = [(i, j) for i in range(nl) for j in range(nl)]
+    rows = np.concatenate([mesh.elements[:, i] for i, _ in pairs])
+    cols = np.concatenate([mesh.elements[:, j] for _, j in pairs])
+    data = np.concatenate([local(i, j) for i, j in pairs])
+    n = mesh.node_count
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
 def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
     """p=2 stiffness matrix K_ij = int grad(phi_i) . grad(phi_j)."""
-    nl = mesh.dimension + 1
-    rows, cols, data = [], [], []
-    for i in range(nl):
-        for j in range(nl):
-            vals = np.einsum("ed,ed->e", mesh.grad_phi[:, i, :], mesh.grad_phi[:, j, :])
-            rows.append(mesh.elements[:, i])
-            cols.append(mesh.elements[:, j])
-            data.append(vals * mesh.element_measure)
-    n = mesh.node_count
-    K = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return K.tocsr()
+    g = mesh.grad_phi
+    return _assemble(mesh, lambda i, j: np.einsum("ed,ed->e", g[:, i, :], g[:, j, :]) * mesh.element_measure)
 
 
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     """Consistent mass matrix under the element quadrature rule."""
-    nl = mesh.dimension + 1
-    rows, cols, data = [], [], []
-    for i in range(nl):
-        for j in range(nl):
-            ref = mesh.phi_at_quad[:, i] * mesh.phi_at_quad[:, j]  # (Q,)
-            vals = mesh.quad_weights @ ref
-            rows.append(mesh.elements[:, i])
-            cols.append(mesh.elements[:, j])
-            data.append(vals)
-    n = mesh.node_count
-    M = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return M.tocsr()
+    phi = mesh.phi_at_quad
+    return _assemble(mesh, lambda i, j: mesh.quad_weights @ (phi[:, i] * phi[:, j]))
 
 
 def p_stiffness_vector(mesh: Mesh, values: np.ndarray, p: float) -> np.ndarray:
@@ -363,11 +361,7 @@ def p_stiffness_vector(mesh: Mesh, values: np.ndarray, p: float) -> np.ndarray:
 def p_mass_vector(mesh: Mesh, values: np.ndarray, p: float) -> np.ndarray:
     """Nodal vector with entries int |u|^(p-2) u phi_i (quadrature)."""
     uq = values_at_quad(mesh, values)
-    s = uq if p == 2 else np.abs(uq) ** (p - 2) * uq
-    contrib = (mesh.quad_weights * s) @ mesh.phi_at_quad  # (E, nl)
-    out = np.zeros(mesh.node_count)
-    np.add.at(out, mesh.elements, contrib)
-    return out
+    return load_vector(mesh, uq if p == 2 else np.abs(uq) ** (p - 2) * uq)
 
 
 def load_vector(mesh: Mesh, fq) -> np.ndarray:

@@ -14,10 +14,12 @@ Neumann.
 maximal-energy interior node takes a Riesz-preconditioned Armijo descent
 step, the path is re-equidistributed in ||.||_{1,p} (only when that does
 not raise the interior maximum), and a Cerami record is stored per
-iteration.  If the path residual stalls above tolerance the maximal node
-is polished by Armijo descent on 1/2 ||I'(u)||_*^2 whose gradient is
-obtained from symmetric finite differences of the residual (no Hessian
-is assembled).
+iteration.  When the path phase stalls (no drop of the interior maximum
+over a window, no descent slope, or a failed line search) the maximal
+node is polished by Newton's method on I'(u) = 0.  The polish is
+matrix-free: each Newton step is a MINRES solve with J(u) v taken as a
+symmetric finite difference of the residual and the p=2 Riesz map as
+preconditioner, followed by an Armijo test on ||I'(u)||_*.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .eigen import EigenPair
 from .functional import CeramiRecord, ProblemSpec, dual_norm, energy, weak_gradient
-from .mesh import BCKind, Field, sobolev_norm_1p
+from .mesh import BCKind, Field, project_admissible, sobolev_norm_1p
 
 __all__ = [
     "GeometryCertificate",
@@ -49,6 +52,10 @@ _ARMIJO_SLOPE = 1e-4
 _TIE_TOL = 1e-14
 _STALL_WINDOW = 40
 _STALL_DROP = 1e-13
+# Newton polish: the finite-difference tangent is accurate to about 1e-9
+# relative, so the inner MINRES solve need not go below 1e-8
+_MINRES_RTOL = 1e-8
+_MINRES_MAX_ITER = 200
 
 
 class LowPointNotFound(RuntimeError):
@@ -156,16 +163,6 @@ def find_low_point(
     return found
 
 
-def _sphere_project(spec: ProblemSpec, v: np.ndarray) -> np.ndarray:
-    if spec.bc_kind is BCKind.DIRICHLET:
-        v = v.copy()
-        v[spec.mesh.boundary_nodes] = 0.0
-        return v
-    from .mesh import mean_value
-
-    return v - mean_value(Field(spec.mesh, v))
-
-
 def _sphere_descend(spec, u: np.ndarray, rho: float, steps: int):
     """Constrained descent on the ||.||_{1,p} = rho sphere via rescaling."""
     cur = energy(spec, Field(spec.mesh, u))
@@ -173,14 +170,14 @@ def _sphere_descend(spec, u: np.ndarray, rho: float, steps: int):
     evals = 1
     for _ in range(steps):
         r = weak_gradient(spec, Field(spec.mesh, u))
-        d = _sphere_project(spec, spec.riesz.solve(r))
+        d = project_admissible(spec.mesh, spec.bc_kind, spec.riesz.solve(r))
         slope = float(r @ d)
         if slope <= 1e-30:
             break
         t = 1.0
         accepted = False
         for _ in range(40):
-            w = _sphere_project(spec, u - t * d)
+            w = project_admissible(spec.mesh, spec.bc_kind, u - t * d)
             nw = sobolev_norm_1p(Field(spec.mesh, w), spec.p)
             if nw > 1e-300:
                 trial = w * (rho / nw)
@@ -222,7 +219,7 @@ def certify_ring(
     rng = np.random.default_rng(seed)
     dirs = []
     for _ in range(directions):
-        v = _sphere_project(spec, rng.standard_normal(spec.mesh.node_count))
+        v = project_admissible(spec.mesh, spec.bc_kind, rng.standard_normal(spec.mesh.node_count))
         if sobolev_norm_1p(Field(spec.mesh, v), spec.p) > 1e-12:
             dirs.append(v)
     dirs.append(eigenpair.u1.values.copy())
@@ -262,10 +259,6 @@ def certify_ring(
     )
 
 
-def _k_apply(spec: ProblemSpec, v: np.ndarray) -> np.ndarray:
-    return spec.riesz.apply(v)
-
-
 def _redistribute(spec: ProblemSpec, nodes: list) -> list:
     """Resample the polyline so consecutive nodes are norm-equidistant."""
     m = len(nodes)
@@ -288,6 +281,16 @@ def _redistribute(spec: ProblemSpec, nodes: list) -> list:
         out.append(nodes[seg] + frac * (nodes[seg + 1] - nodes[seg]))
     out.append(nodes[-1].copy())
     return out
+
+
+def _record(spec: ProblemSpec, u: np.ndarray, level: float, history: list):
+    """Weak residual at u and its dual norm; appends u's Cerami record, at energy ``level``, to history."""
+    field = Field(spec.mesh, u)
+    r = weak_gradient(spec, field)
+    res = dual_norm(spec, r)
+    nrm = sobolev_norm_1p(field, spec.p)
+    history.append(CeramiRecord(energy=level, residual=res, measure=(1.0 + nrm) * res, norm=nrm))
+    return r, res
 
 
 def detect_ps_violation(history: list, converged: bool, tol: float) -> bool:
@@ -355,12 +358,8 @@ def mountain_pass(
     while iterations < max_iter:
         k = _max_interior(energies)
         u = nodes[k]
-        field = Field(mesh, u)
-        r = weak_gradient(spec, field)
-        res = dual_norm(spec, r)
-        nrm = sobolev_norm_1p(field, spec.p)
+        r, res = _record(spec, u, float(energies[k]), history)
         iterations += 1
-        history.append(CeramiRecord(energy=float(energies[k]), residual=res, measure=(1.0 + nrm) * res, norm=nrm))
         if res <= tol:
             break
         if iterations >= max_iter:
@@ -379,7 +378,7 @@ def mountain_pass(
         # remove the K-tangential component so the node slides off the
         # ridge instead of down the path toward an endpoint
         tau = nodes[k + 1] - nodes[k - 1]
-        tau_norm2 = float(tau @ (ktau := _k_apply(spec, tau)))
+        tau_norm2 = float(tau @ (ktau := spec.riesz.apply(tau)))
         if tau_norm2 > 0:
             d = d - (float(d @ ktau) / tau_norm2) * tau
         slope = float(r @ d)
@@ -447,50 +446,51 @@ def _fd_jacobian_apply(spec, u, v, scale):
     return (r_plus - r_minus) / (2.0 * eps)
 
 
-def _polish(spec, u, tol, max_iter, iterations, history):
-    """Descent on phi(u) = 1/2 ||I'(u)||_*^2 down to tolerance.
+def _newton_direction(spec, u, r):
+    """MINRES solution d of J(u) d = r on the admissible block, zero elsewhere."""
+    free = spec.riesz.free
 
-    The gradient of phi is J(u) K^{-1} r(u); by symmetry of the second
-    derivative it is evaluated as a symmetric finite difference of the
-    residual along w = K^{-1} r, so no second derivatives are assembled.
-    The step starts from the exact minimizer of the local quadratic model
-    along the preconditioned direction (curvature from one more residual
-    difference) and is Armijo-safeguarded.
+    def embed(x):
+        v = np.zeros(spec.mesh.node_count)
+        v[free] = x
+        return v
+
+    u_scale = float(np.linalg.norm(u))
+    shape = (free.size, free.size)
+    jac = spla.LinearOperator(shape, matvec=lambda x: _fd_jacobian_apply(spec, u, embed(x), u_scale)[free])
+    precond = spla.LinearOperator(shape, matvec=lambda x: spec.riesz.solve(embed(x))[free])
+    step, _ = spla.minres(jac, r[free], M=precond, rtol=_MINRES_RTOL, maxiter=_MINRES_MAX_ITER)
+    return embed(step)
+
+
+def _polish(spec, u, tol, max_iter, iterations, history):
+    """Newton's method on I'(u) = 0 from the node the path phase hands over.
+
+    Each step solves J(u) d = I'(u) by MINRES (J is symmetric but
+    indefinite at a mountain-pass point).  J v is a symmetric finite
+    difference of the residual, so no tangent matrix is assembled, and the
+    prefactorized p=2 Riesz map is the preconditioner.  The step u - t d
+    is accepted by an Armijo test on ||I'||_*; a non-finite step or a
+    failed line search ends the polish unconverged.
     """
     mesh = spec.mesh
     while iterations < max_iter:
-        field = Field(mesh, u)
-        r = weak_gradient(spec, field)
-        res = dual_norm(spec, r)
-        nrm = sobolev_norm_1p(field, spec.p)
+        r, res = _record(spec, u, energy(spec, Field(mesh, u)), history)
         iterations += 1
-        history.append(CeramiRecord(energy=energy(spec, field), residual=res, measure=(1.0 + nrm) * res, norm=nrm))
         if res <= tol:
             return u, res, iterations
 
-        u_scale = float(np.linalg.norm(u))
-        w = spec.riesz.solve(r)
-        grad_phi = _fd_jacobian_apply(spec, u, w, u_scale)
-        d = spec.riesz.solve(grad_phi)
-        slope = float(grad_phi @ d)
-        if not np.isfinite(slope) or slope <= 0:
+        d = _newton_direction(spec, u, r)
+        if not np.all(np.isfinite(d)):
             return u, res, iterations
-        jd = _fd_jacobian_apply(spec, u, d, u_scale)
-        curvature = float(jd @ spec.riesz.solve(jd))
-        t = slope / curvature if curvature > 0 else 1.0
-        if not np.isfinite(t) or t <= 0:
-            t = 1.0
-
-        phi = 0.5 * res * res
-        accepted = False
+        t = 1.0
         for _ in range(60):
             trial = u - t * d
             res_t = dual_norm(spec, weak_gradient(spec, Field(mesh, trial)))
-            if 0.5 * res_t * res_t <= phi - _ARMIJO_SLOPE * t * slope:
-                accepted = True
+            if res_t <= (1.0 - _ARMIJO_SLOPE * t) * res:
                 break
             t *= 0.5
-        if not accepted:
+        else:
             return u, res, iterations
         u = trial
 

@@ -268,3 +268,28 @@ def test_partial_report_on_abort(tmp_path):
     # every started stage has a status object even though the run aborted
     assert set(report["stages"]) == {"eig", "check"}
     assert all("status" in s for s in report["stages"].values())
+
+
+def test_h_boundary_rejected_for_dirichlet_with_line(tmp_path):
+    text = bench_config_text().replace('a = "3"', 'a = "3"\nh_boundary = "0"')
+    with pytest.raises(cli.ConfigError, match=r"^line \d+: key 'h_boundary' is only valid for bc = neumann$"):
+        cli.load_config(write(tmp_path, text))
+
+
+def test_absent_keys_take_dataclass_defaults(tmp_path):
+    text = bench_config_text().split("[solver]")[0]
+    cfg = cli.load_config(write(tmp_path, text))
+    assert cfg.solver == cli.SolverConfig()
+    assert (cfg.problem.consistency_u_min, cfg.problem.consistency_u_max) == (-2.0, 2.0)
+    assert (cfg.hypotheses.signs, cfg.hypotheses.u_min, cfg.hypotheses.vanish_u_max) == ("both", 1e-6, 1e6)
+    assert cfg.problem.F is not None and cfg.problem.g is None
+
+
+def test_2d_mesh_counts_name_their_key(tmp_path):
+    text = bench_config_text().replace("dimension = 1", "dimension = 2").replace(
+        "n = 128", "ymin = 0\nymax = 1\nnx = 1\nny = 8"
+    )
+    with pytest.raises(cli.ConfigError, match="^key 'nx': must be >= 2$"):
+        cli.load_config(write(tmp_path, text))
+    with pytest.raises(cli.ConfigError, match=r"^line \d+: unknown key 'n' in section \[domain\]$"):
+        cli.load_config(write(tmp_path, text.replace("nx = 1", "nx = 8\nn = 4")))

@@ -11,6 +11,7 @@ from plresonance.mesh import (
     mass_matrix,
     p_mass_vector,
     p_stiffness_vector,
+    project_admissible,
     stiffness_matrix,
 )
 
@@ -265,3 +266,19 @@ def test_field_csv_format(tmp_path):
     idx, x, val = lines[2].split(",")
     assert int(idx) == 1
     assert float(val) == pytest.approx(2 * float(x))
+
+
+@pytest.mark.parametrize("bc", [pl.BCKind.DIRICHLET, pl.BCKind.NEUMANN], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])
+def test_project_admissible_is_a_projection(bc, two_d):
+    m = pl.build_rectangle_mesh((0, 1), (0, 2), 5, 4) if two_d else pl.build_interval_mesh(0.0, 1.0, 16)
+    v = np.random.default_rng(5).standard_normal(m.node_count)
+    w = project_admissible(m, bc, v)
+    if bc is pl.BCKind.DIRICHLET:
+        assert np.all(w[m.boundary_nodes] == 0.0)
+        assert np.array_equal(w[m.interior_nodes], v[m.interior_nodes])
+    else:
+        assert abs(pl.mean_value(Field(m, w))) < 1e-14
+        assert np.allclose(w - v, w[0] - v[0])  # a constant shift
+    assert np.allclose(project_admissible(m, bc, w), w, atol=1e-14)
+    assert not np.shares_memory(w, v)

@@ -260,3 +260,15 @@ def test_verify_random_fields_fail_residual(bench_128):
         u = random_admissible(spec.mesh, pl.BCKind.DIRICHLET, rng)
         rec = verify_solution(spec, u)
         assert rec.residual > 1e-3
+
+
+def test_no_critical_point_fails_fast():
+    # the resonant forcing above leaves no critical point; with a budget of
+    # 2000 iterations the run must give up long before spending it
+    spec, ep = make_spec("sin(pi*x)", "u*sin(pi*x)", n=48)
+    e = find_low_point(spec, ep, a_max=100.0, steps=24)
+    result = mountain_pass(spec, e, path_nodes=11, tol=1e-6, max_iter=2000)
+    assert not result.converged
+    assert result.iterations < 100
+    assert len(result.cerami_history) == result.iterations
+    assert np.isfinite(result.max_iterate_norm)
