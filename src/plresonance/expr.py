@@ -13,12 +13,19 @@ Evaluation works on scalars and on broadcastable numpy arrays, and any
 domain violation (log of a non-positive number, square root of a
 negative, division by zero, fractional power of a negative base) raises
 ``DomainError`` instead of propagating NaN.
+
+A parsed formula is compiled once into a closure of numpy ufunc calls,
+the same calls in the same order as the checked tree walk, so both give
+the same bits.  ``evaluate`` runs the closure with floating-point errors
+raised; only when one is raised, or an input is not finite, does it
+re-walk the tree with a domain check at every node to name the
+offending sub-expression.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,12 +127,19 @@ Node = Num | Var | Const | Neg | Bin | Call
 
 @dataclass(frozen=True)
 class Expression:
-    """Immutable parsed formula together with its declared variable slot."""
+    """Immutable parsed formula together with its declared variable slot.
+
+    ``compiled`` is filled at construction (see ``_compile``).
+    """
 
     root: Node
     allowed_variables: frozenset
     free_variables: frozenset
     source: str
+    compiled: tuple | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "compiled", _compile(self.root))
 
     def evaluate(self, bindings=None):
         return evaluate(self, bindings)
@@ -278,19 +292,26 @@ class _Parser:
         return Call(name, tuple(args))
 
 
+def _children(node: Node) -> tuple:
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, Bin):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
 def _free_vars(node: Node) -> set:
     if isinstance(node, Var):
         return {node.name}
-    if isinstance(node, Neg):
-        return _free_vars(node.operand)
-    if isinstance(node, Bin):
-        return _free_vars(node.left) | _free_vars(node.right)
-    if isinstance(node, Call):
-        out = set()
-        for a in node.args:
-            out |= _free_vars(a)
-        return out
-    return set()
+    return set().union(*(_free_vars(child) for child in _children(node)))
+
+
+def _finite_literals(node: Node) -> bool:
+    if isinstance(node, Num):
+        return math.isfinite(node.value)
+    return all(_finite_literals(child) for child in _children(node))
 
 
 def parse(source: str, allowed_vars) -> Expression:
@@ -430,20 +451,107 @@ def _eval(node: Node, bindings: dict):
     return _power(node, arg, _eval(node.args[1], bindings))
 
 
-def evaluate(expression: Expression, bindings=None):
-    """Evaluate an expression; scalars in, float out; arrays broadcast.
-
-    All free variables must be bound.  Domain violations raise
-    ``DomainError`` carrying the offending sub-expression and argument.
-    """
-    b = dict(bindings) if bindings else {}
-    missing = sorted(expression.free_variables - set(b))
-    if missing:
-        raise UnboundVariableError(f"unbound variable '{missing[0]}'")
-    result = _eval(expression.root, b)
-    result = np.asarray(result, dtype=float)
+def _evaluate_checked(expression: Expression, bindings: dict):
+    """Tree walk with a domain check at every node."""
+    result = np.asarray(_eval(expression.root, bindings), dtype=float)
     if np.any(np.isnan(result)):
         raise DomainError("evaluation produced NaN", expression.source, math.nan)
     if result.ndim == 0:
         return float(result)
     return result
+
+
+# --------------------------------------------------------------------------
+# Compilation
+
+_BINARY_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+_CALL_UFUNCS = {
+    "ln": np.log,
+    "sqrt": np.sqrt,
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tanh": np.tanh,
+    "abs": np.abs,
+    "atan": np.arctan,
+    "pow": np.power,
+}
+
+
+def _compile_node(node: Node, slots: dict):
+    if isinstance(node, (Num, Const)):
+        value = float(node.value) if isinstance(node, Num) else CONSTANTS[node.name]
+        return lambda values: value
+    if isinstance(node, Var):
+        slot = slots[node.name]
+        return lambda values: values[slot]
+    if isinstance(node, Neg):
+        operand = _compile_node(node.operand, slots)
+        return lambda values: np.negative(operand(values))
+    if isinstance(node, Bin):
+        ufunc = _BINARY_UFUNCS[node.op]
+        left, right = _compile_node(node.left, slots), _compile_node(node.right, slots)
+        return lambda values: ufunc(left(values), right(values))
+    ufunc = _CALL_UFUNCS[node.name]
+    args = [_compile_node(a, slots) for a in node.args]
+    if len(args) == 1:
+        (arg,) = args
+        return lambda values: ufunc(arg(values))
+    first, second = args
+    return lambda values: ufunc(first(values), second(values))
+
+
+def _compile(root: Node):
+    """``(names, fn)``: ``fn(values)`` is the tree's value at the float arrays bound to ``names``.
+
+    ``fn`` calls the ufuncs of ``_eval`` in the same order, without its
+    checks.  None when a literal is not finite (``1e999``), since the
+    argument in ``_evaluate_compiled`` needs finite literals.
+    """
+    if not _finite_literals(root):
+        return None
+    names = tuple(sorted(_free_vars(root)))
+    return names, _compile_node(root, {name: i for i, name in enumerate(names)})
+
+
+@np.errstate(divide="raise", invalid="raise", over="raise", under="ignore")
+def _evaluate_compiled(compiled: tuple, bindings: dict):
+    """The compiled value, or None where the checked walk must decide.
+
+    With finite inputs and finite literals, every value the checked walk
+    rejects (a zero divisor, ln or sqrt outside its domain, a negative base
+    to a fractional power, zero to a negative power) raises the
+    divide-by-zero or the invalid flag, and no intermediate can become
+    inf or NaN without raising a flag or overflowing.  So a run that raises
+    nothing returns exactly what ``_evaluate_checked`` returns.  Non-finite
+    inputs, overflow (which the walk lets through as inf), and bindings
+    that do not convert to float are handed back to the walk.
+    """
+    names, fn = compiled
+    try:
+        values = [np.asarray(bindings[name], dtype=float) for name in names]
+        if not all(np.isfinite(v).all() for v in values):
+            return None
+        result = np.asarray(fn(values), dtype=float)
+    except (FloatingPointError, KeyError, TypeError, ValueError):
+        return None
+    return float(result) if result.ndim == 0 else result
+
+
+def evaluate(expression: Expression, bindings=None):
+    """Evaluate an expression; scalars in, float out; arrays broadcast.
+
+    All free variables must be bound.  Domain violations raise
+    ``DomainError`` carrying the offending sub-expression and argument.
+    The compiled closure gives the value; the checked tree walk runs only
+    when the closure cannot vouch for its result.
+    """
+    b = bindings if isinstance(bindings, dict) else dict(bindings or {})
+    missing = expression.free_variables.difference(b)
+    if missing:
+        raise UnboundVariableError(f"unbound variable '{min(missing)}'")
+    if expression.compiled is not None:
+        result = _evaluate_compiled(expression.compiled, b)
+        if result is not None:
+            return result
+    return _evaluate_checked(expression, b)

@@ -63,17 +63,9 @@ class CeramiRecord:
     norm: float
 
 
-class _ExprFunction:
-    """Vectorized evaluation of an (x[, y][, u]) expression."""
-
-    def __init__(self, expression: ex.Expression):
-        self.expression = expression
-
-    def __call__(self, coords: dict, u=None):
-        bindings = dict(coords)
-        if u is not None:
-            bindings["u"] = u
-        return ex.evaluate(self.expression, bindings)
+def _field_function(expression: ex.Expression):
+    """``(coords, u) -> value`` of an (x[, y][, u]) expression, arrays broadcast."""
+    return lambda coords, u=None: ex.evaluate(expression, coords if u is None else {**coords, "u": u})
 
 
 class NumericAntiderivative:
@@ -180,11 +172,11 @@ class ProblemSpec:
         self.boundary_coords = {k: v[bn] for k, v in self.node_coords.items()}
         self.boundary_node_weights = mesh.boundary_weights[bn]
 
-        self.f = _ExprFunction(f_expr)
-        self.F = _ExprFunction(F_expr) if F_expr is not None else NumericAntiderivative(self.f)
+        self.f = _field_function(f_expr)
+        self.F = _field_function(F_expr) if F_expr is not None else NumericAntiderivative(self.f)
         if bc_kind is BCKind.NEUMANN:
-            self.g = _ExprFunction(g_expr)
-            self.G = _ExprFunction(G_expr) if G_expr is not None else NumericAntiderivative(self.g)
+            self.g = _field_function(g_expr)
+            self.G = _field_function(G_expr) if G_expr is not None else NumericAntiderivative(self.g)
         else:
             self.g = None
             self.G = None
