@@ -25,6 +25,7 @@ offending sub-expression.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -478,7 +479,30 @@ _CALL_UFUNCS = {
 }
 
 
+def _subtrees(node: Node):
+    yield node
+    for child in _children(node):
+        yield from _subtrees(child)
+
+
 def _compile_node(node: Node, slots: dict):
+    """Closure for ``node``; ``slots`` maps a variable name, or the repr of a
+    sub-expression met more than once, to its place in ``values``."""
+    fn = _compile_op(node, slots)
+    slot = slots.get(repr(node))
+    if slot is None:
+        return fn
+
+    def shared(values):
+        out = values[slot]
+        if out is None:
+            out = values[slot] = fn(values)
+        return out
+
+    return shared
+
+
+def _compile_op(node: Node, slots: dict):
     if isinstance(node, (Num, Const)):
         value = float(node.value) if isinstance(node, Num) else CONSTANTS[node.name]
         return lambda values: value
@@ -493,11 +517,10 @@ def _compile_node(node: Node, slots: dict):
         left, right = _compile_node(node.left, slots), _compile_node(node.right, slots)
         return lambda values: ufunc(left(values), right(values))
     ufunc = _CALL_UFUNCS[node.name]
-    args = [_compile_node(a, slots) for a in node.args]
-    if len(args) == 1:
-        (arg,) = args
+    if len(node.args) == 1:
+        arg = _compile_node(node.args[0], slots)
         return lambda values: ufunc(arg(values))
-    first, second = args
+    first, second = (_compile_node(a, slots) for a in node.args)
     return lambda values: ufunc(first(values), second(values))
 
 
@@ -505,13 +528,22 @@ def _compile(root: Node):
     """``(names, fn)``: ``fn(values)`` is the tree's value at the float arrays bound to ``names``.
 
     ``fn`` calls the ufuncs of ``_eval`` in the same order, without its
-    checks.  None when a literal is not finite (``1e999``), since the
-    argument in ``_evaluate_compiled`` needs finite literals.
+    checks, and computes a sub-expression that occurs more than once only
+    once (its repr, exact down to the sign of a zero, is the key).  None
+    when a literal is not finite (``1e999``), since the argument in
+    ``_evaluate_compiled`` needs finite literals.
     """
     if not _finite_literals(root):
         return None
     names = tuple(sorted(_free_vars(root)))
-    return names, _compile_node(root, {name: i for i, name in enumerate(names)})
+    counts = Counter(repr(n) for n in _subtrees(root) if isinstance(n, (Neg, Bin, Call)))
+    repeated = [key for key, k in counts.items() if k > 1]
+    slots = {key: i for i, key in enumerate(names + tuple(repeated))}
+    fn = _compile_node(root, slots)
+    if not repeated:
+        return names, fn
+    blank = [None] * len(repeated)
+    return names, lambda values: fn(values + blank)
 
 
 @np.errstate(divide="raise", invalid="raise", over="raise", under="ignore")

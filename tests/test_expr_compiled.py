@@ -137,3 +137,12 @@ def test_compiled_field_stays_out_of_equality_and_repr():
     a, b = ex.parse("u^2", {"u"}), ex.parse("u^2", {"u"})
     assert a == b and hash(a) == hash(b)
     assert "compiled" not in repr(a)
+
+
+def test_zero_literals_of_opposite_sign_are_not_shared():
+    # u + 0.0 and u + -0.0 are equal as trees but differ at u = -0.0
+    u = ex.Var("u")
+    root = ex.Bin("*", ex.Bin("+", u, ex.Num(-0.0)), ex.Bin("+", u, ex.Num(0.0)))
+    e = ex.Expression(root, frozenset({"u"}), frozenset({"u"}), "<generated>")
+    out = ex.evaluate(e, {"u": -0.0})
+    assert out == 0.0 and math.copysign(1.0, out) == -1.0
