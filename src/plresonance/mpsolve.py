@@ -15,8 +15,9 @@ maximal-energy interior node takes a Riesz-preconditioned Armijo descent
 step, the path is re-equidistributed in ||.||_{1,p} (only when that does
 not raise the interior maximum), and a Cerami record is stored per
 iteration.  When the path phase stalls (no drop of the interior maximum
-over a window, no descent slope, or a failed line search) the maximal
-node is polished by Newton's method on I'(u) = 0.  The polish is
+over a window, no descent slope, a failed line search, or an iteration
+that leaves the path unchanged) the maximal node is polished by Newton's
+method on I'(u) = 0, starting from its last record.  The polish is
 matrix-free: each Newton step is a MINRES solve with J(u) v taken as a
 symmetric finite difference of the residual and the p=2 Riesz map as
 preconditioner, followed by an Armijo test on ||I'(u)||_*.
@@ -337,6 +338,8 @@ def mountain_pass(
     """
     if path_nodes < 3:
         raise ValueError("the path needs at least 3 nodes")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     e_norm = sobolev_norm_1p(e, spec.p)
     if e_norm <= 0:
         raise ValueError("e must be a nonzero field")
@@ -349,13 +352,11 @@ def mountain_pass(
 
     history: list[CeramiRecord] = []
     iterations = 0
-    res = np.inf
-    u = nodes[_max_interior(energies)]
     stall_ref_energy = float(energies[_max_interior(energies)])
     stall_ref_iter = 0
-    to_polish = False
 
     while iterations < max_iter:
+        start = list(nodes)
         k = _max_interior(energies)
         u = nodes[k]
         r, res = _record(spec, u, float(energies[k]), history)
@@ -368,7 +369,6 @@ def mountain_pass(
         # stall detection: interior maximum no longer dropping
         if iterations - stall_ref_iter >= _STALL_WINDOW:
             if stall_ref_energy - energies[k] < _STALL_DROP:
-                to_polish = True
                 break
             stall_ref_energy = energies[k]
             stall_ref_iter = iterations
@@ -383,7 +383,6 @@ def mountain_pass(
             d = d - (float(d @ ktau) / tau_norm2) * tau
         slope = float(r @ d)
         if slope <= 0.0:
-            to_polish = True
             break
         t = 1.0
         accepted = False
@@ -395,7 +394,6 @@ def mountain_pass(
                 break
             t *= 0.5
         if not accepted:
-            to_polish = True
             break
         nodes[k] = trial
         energies[k] = e_t
@@ -410,10 +408,14 @@ def mountain_pass(
         max_norm = max(sobolev_norm_1p(Field(mesh, v), spec.p) for v in nodes[1:-1])
         if max_norm < 1e-8:
             raise DegeneratePathError("path collapsed onto the zero field")
+        # the re-equidistribution undid the step: the path is a fixed point
+        # of this iteration, and every further one would record u again
+        if all(np.array_equal(a, b) for a, b in zip(nodes, start)):
+            break
 
     path_iterations = iterations
-    if to_polish or res > tol:
-        u, res, iterations = _polish(spec, u, tol, max_iter, iterations, history)
+    if res > tol:
+        u, res, iterations = _polish(spec, u, r, res, tol, max_iter, iterations, history)
 
     field = Field(mesh, u)
     converged = res <= tol
@@ -463,26 +465,23 @@ def _newton_direction(spec, u, r):
     return embed(step)
 
 
-def _polish(spec, u, tol, max_iter, iterations, history):
+def _polish(spec, u, r, res, tol, max_iter, iterations, history):
     """Newton's method on I'(u) = 0 from the node the path phase hands over.
 
-    Each step solves J(u) d = I'(u) by MINRES (J is symmetric but
-    indefinite at a mountain-pass point).  J v is a symmetric finite
-    difference of the residual, so no tangent matrix is assembled, and the
-    prefactorized p=2 Riesz map is the preconditioner.  The step u - t d
-    is accepted by an Armijo test on ||I'||_*; a non-finite step or a
+    Starts from the residual r, of dual norm res, that the path phase
+    recorded at u, so u is not recorded twice.  Each step solves
+    J(u) d = I'(u) by MINRES (J is symmetric but indefinite at a
+    mountain-pass point).  J v is a symmetric finite difference of the
+    residual, so no tangent matrix is assembled, and the prefactorized p=2
+    Riesz map is the preconditioner.  The step u - t d is accepted by an
+    Armijo test on ||I'||_* and its point recorded; a non-finite step or a
     failed line search ends the polish unconverged.
     """
     mesh = spec.mesh
-    while iterations < max_iter:
-        r, res = _record(spec, u, energy(spec, Field(mesh, u)), history)
-        iterations += 1
-        if res <= tol:
-            return u, res, iterations
-
+    while res > tol and iterations < max_iter:
         d = _newton_direction(spec, u, r)
         if not np.all(np.isfinite(d)):
-            return u, res, iterations
+            break
         t = 1.0
         for _ in range(60):
             trial = u - t * d
@@ -491,11 +490,10 @@ def _polish(spec, u, tol, max_iter, iterations, history):
                 break
             t *= 0.5
         else:
-            return u, res, iterations
+            break
         u = trial
-
-    field = Field(mesh, u)
-    res = dual_norm(spec, weak_gradient(spec, field))
+        r, res = _record(spec, u, energy(spec, Field(mesh, u)), history)
+        iterations += 1
     return u, res, iterations
 
 

@@ -293,3 +293,15 @@ def test_2d_mesh_counts_name_their_key(tmp_path):
         cli.load_config(write(tmp_path, text))
     with pytest.raises(cli.ConfigError, match=r"^line \d+: unknown key 'n' in section \[domain\]$"):
         cli.load_config(write(tmp_path, text.replace("nx = 1", "nx = 8\nn = 4")))
+
+
+def test_bench_solve_records_each_iterate_once(tmp_path):
+    # neither the polish nor a path phase stuck at a fixed point records
+    # the same iterate twice
+    cfg = write(tmp_path, bench_config_text())
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    history = report["cerami_history"]
+    assert len(history) == report["stages"]["solve"]["iterations"]
+    assert all(prev != cur for prev, cur in zip(history, history[1:]))
