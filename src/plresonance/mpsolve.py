@@ -53,6 +53,7 @@ _ARMIJO_SLOPE = 1e-4
 _TIE_TOL = 1e-14
 _STALL_WINDOW = 40
 _STALL_DROP = 1e-13
+_PS_JUMP = 10.0  # a last iterate this many times beyond every earlier norm
 # Newton polish: the finite-difference tangent is accurate to about 1e-9
 # relative, so the inner MINRES solve need not go below 1e-8
 _MINRES_RTOL = 1e-8
@@ -297,14 +298,22 @@ def _record(spec: ProblemSpec, u: np.ndarray, level: float, history: list):
 def detect_ps_violation(history: list, converged: bool, tol: float) -> bool:
     """Flag iterate-norm divergence with a non-vanishing Cerami measure.
 
-    On a run that failed to converge, compares the leading and trailing
-    tenths of the recorded iterate norms; doubling with the trailing
-    measures still above tolerance signals a compactness failure rather
+    On a run that failed to converge, either of two signs counts.  The
+    last iterate's norm exceeds every earlier one by the factor
+    ``_PS_JUMP`` with its measure above tolerance: the run left the
+    bounded region in one step and stopped there, however short the
+    history.  Or, over at least 20 records, the trailing tenth of the
+    norms is more than double the leading tenth with the trailing measures
+    still above tolerance.  Either signals a compactness failure rather
     than a slow solve.
     """
-    if converged or len(history) < 20:
+    if converged or len(history) < 2:
         return False
     norms = [rec.norm for rec in history]
+    if norms[-1] > _PS_JUMP * max(norms[:-1]) and history[-1].measure > tol:
+        return True
+    if len(history) < 20:
+        return False
     window = max(1, len(history) // 10)
     head = max(norms[:window])
     tail = min(norms[-window:])

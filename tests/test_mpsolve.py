@@ -272,3 +272,24 @@ def test_no_critical_point_fails_fast():
     assert result.iterations < 100
     assert len(result.cerami_history) == result.iterations
     assert np.isfinite(result.max_iterate_norm)
+
+
+def test_ps_violation_detector_one_step_escape():
+    bounded = [0.33] * 12
+    # the last iterate jumps far past every earlier one, measure still up
+    assert detect_ps_violation(_records(bounded + [1298.0], [0.3] * 12 + [292.0]), converged=False, tol=1e-6)
+    # the same jump with the measure below tolerance is a Cerami sequence
+    assert not detect_ps_violation(_records(bounded + [1298.0], [0.3] * 12 + [1e-9]), converged=False, tol=1e-6)
+    # a jump of less than an order of magnitude is not enough to judge
+    assert not detect_ps_violation(_records(bounded + [3.0], [0.3] * 13), converged=False, tol=1e-6)
+    assert not detect_ps_violation(_records([1298.0], [292.0]), converged=False, tol=1e-6)
+
+
+def test_no_critical_point_flags_ps_violation():
+    # the setup of test_no_critical_point_fails_fast: the last Newton step
+    # leaves for norm ~1e3 with the residual unchanged
+    spec, ep = make_spec("sin(pi*x)", "u*sin(pi*x)", n=48)
+    e = find_low_point(spec, ep, a_max=100.0, steps=24)
+    result = mountain_pass(spec, e, path_nodes=11, tol=1e-6, max_iter=2000)
+    assert not result.converged
+    assert result.ps_violation
