@@ -142,6 +142,10 @@ class Expression:
     def __post_init__(self):
         object.__setattr__(self, "compiled", _compile(self.root))
 
+    def __reduce__(self):
+        # closures do not pickle; the copy compiles its own
+        return Expression, (self.root, self.allowed_variables, self.free_variables, self.source)
+
     def evaluate(self, bindings=None):
         return evaluate(self, bindings)
 

@@ -8,6 +8,7 @@ check on the values themselves (``test_expr.py``).
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -133,10 +134,12 @@ def test_expression_built_directly_is_compiled():
     assert ex.evaluate(e, {"x": 2, "u": 3}) == 18.0
 
 
-def test_compiled_field_stays_out_of_equality_and_repr():
+def test_compiled_field_stays_out_of_equality_repr_and_pickle():
     a, b = ex.parse("u^2", {"u"}), ex.parse("u^2", {"u"})
     assert a == b and hash(a) == hash(b)
     assert "compiled" not in repr(a)
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and ex.evaluate(copy, {"u": 3.0}) == 9.0
 
 
 def test_zero_literals_of_opposite_sign_are_not_shared():
