@@ -544,8 +544,6 @@ def _compile(root: Node):
     repeated = [key for key, k in counts.items() if k > 1]
     slots = {key: i for i, key in enumerate(names + tuple(repeated))}
     fn = _compile_node(root, slots)
-    if not repeated:
-        return names, fn
     blank = [None] * len(repeated)
     return names, lambda values: fn(values + blank)
 
