@@ -30,7 +30,6 @@ from .mesh import (
     grad_seminorm_p,
     is_dirichlet_admissible,
     load_vector,
-    lp_norm_p,
     p_mass_vector,
     p_stiffness_vector,
     sobolev_norm_1p,
@@ -245,7 +244,8 @@ def energy(spec: ProblemSpec, u: Field) -> float:
         (mesh.quad_weights * np.broadcast_to(np.asarray(spec.F(spec.quad_coords, uq), dtype=float), uq.shape)).sum()
     )
     if spec.bc_kind is BCKind.DIRICHLET:
-        return psi - spec.lambda1 * lp_norm_p(u, p) / p - f_int
+        # ||u||_p^p as lp_norm_p computes it, from the values already at the quadrature points
+        return psi - spec.lambda1 * float((mesh.quad_weights * np.abs(uq) ** p).sum()) / p - f_int
     ub = u.values[mesh.boundary_nodes]
     gb = np.broadcast_to(np.asarray(spec.G(spec.boundary_coords, ub), dtype=float), ub.shape)
     return psi - f_int + float(np.dot(spec.boundary_node_weights, gb))

@@ -4,7 +4,12 @@ The mesh carries everything the variational modules need: element
 connectivity, per-element measures, the constant element gradients of the
 nodal basis, a quadrature rule that integrates quadratics exactly per
 element (2-point Gauss on segments, edge midpoints on triangles), and
-lumped boundary weights realizing the trapezoidal surface measure.
+lumped boundary weights realizing the trapezoidal surface measure.  From
+these it builds two sparse operators once: the gradient operator G (element
+gradients G u) and the transpose P^T of the quadrature interpolation.  The
+assembly kernels are products with them: G^T (|T| flux) for the p-stiffness
+vector, P^T (w f) for load vectors, G^T diag(|T|) G and P^T diag(w) P for the
+stiffness and mass matrices.
 
 A ``Field`` is one nodal coefficient per mesh node and stands in for a
 discrete W^{1,p} function.  Norms follow the usual conventions:
@@ -19,7 +24,7 @@ p is restricted to p >= 2 wherever the gradient is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -72,6 +77,28 @@ class Mesh:
     quad_weights: np.ndarray       # (E, Q)
     phi_at_quad: np.ndarray        # (Q, dim+1)
     boundary_weights: np.ndarray   # (N,) lumped surface-measure weights
+    # sparse operators built once from the fields above
+    grad_op: sp.csr_matrix = field(init=False, repr=False)    # G, (E*dim, N): G u = element gradients
+    grad_op_t: sp.csr_matrix = field(init=False, repr=False)  # G^T
+    interp_t: sp.csr_matrix = field(init=False, repr=False)   # P^T, (N, E*Q): P u = values at quadrature points
+
+    def __post_init__(self):
+        dim, n = self.dimension, self.node_count
+        n_elem, nl = self.elements.shape
+        n_quad = self.phi_at_quad.shape[0]
+
+        def rows_over_elements(data, per_element):
+            cols = np.repeat(self.elements, per_element, axis=0)
+            indptr = np.arange(0, cols.size + 1, nl)
+            op = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n_elem * per_element, n))
+            op.eliminate_zeros()
+            return op
+
+        grad_op = rows_over_elements(self.grad_phi.transpose(0, 2, 1), dim)
+        interp = rows_over_elements(np.tile(self.phi_at_quad, (n_elem, 1)), n_quad)
+        object.__setattr__(self, "grad_op", grad_op)
+        object.__setattr__(self, "grad_op_t", grad_op.T.tocsr())
+        object.__setattr__(self, "interp_t", interp.T.tocsr())
 
     @property
     def node_count(self) -> int:
@@ -197,7 +224,7 @@ def build_rectangle_mesh(x_range, y_range, nx: int, ny: int) -> Mesh:
 
     phi_at_quad = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     verts = nodes[elements]  # (E, 3, 2)
-    quad_points = np.einsum("qn,end->eqd", phi_at_quad, verts)
+    quad_points = phi_at_quad @ verts
     quad_weights = np.repeat(area[:, None] / 3.0, 3, axis=1)
 
     i_of = np.tile(np.arange(nx + 1), ny + 1)
@@ -223,9 +250,9 @@ def build_rectangle_mesh(x_range, y_range, nx: int, ny: int) -> Mesh:
     boundary_edges = np.array(edges)
     boundary_edge_measure = np.array(lengths)
 
-    boundary_weights = np.zeros(nodes.shape[0])
-    np.add.at(boundary_weights, boundary_edges[:, 0], 0.5 * boundary_edge_measure)
-    np.add.at(boundary_weights, boundary_edges[:, 1], 0.5 * boundary_edge_measure)
+    boundary_weights = np.bincount(
+        boundary_edges.ravel(), weights=np.repeat(0.5 * boundary_edge_measure, 2), minlength=nodes.shape[0]
+    )
 
     all_idx = np.arange(nodes.shape[0])
     return Mesh(
@@ -257,7 +284,7 @@ def values_at_quad(mesh: Mesh, values: np.ndarray) -> np.ndarray:
 
 def grad_at_elements(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     """Constant element gradients, shape (E, dim)."""
-    return np.einsum("end,en->ed", mesh.grad_phi, values[mesh.elements])
+    return (mesh.grad_op @ values).reshape(-1, mesh.dimension)
 
 
 # --------------------------------------------------------------------------
@@ -269,7 +296,7 @@ def grad_seminorm_p(u: Field, p: float) -> float:
     if p < 2:
         raise ValueError(f"gradient seminorm requires p >= 2, got p={p}")
     g = grad_at_elements(u.mesh, u.values)
-    mag = np.sqrt(np.einsum("ed,ed->e", g, g))
+    mag = np.sqrt((g * g).sum(axis=1))
     return float(np.dot(mag**p, u.mesh.element_measure))
 
 
@@ -316,46 +343,26 @@ def project_admissible(mesh: Mesh, bc: BCKind, v: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Assembly
-
-
-def _assemble(mesh: Mesh, local) -> sp.csr_matrix:
-    """Sparse matrix summing the element entries local(i, j), shape (E,), over local node pairs."""
-    nl = mesh.dimension + 1
-    pairs = [(i, j) for i in range(nl) for j in range(nl)]
-    rows = np.concatenate([mesh.elements[:, i] for i, _ in pairs])
-    cols = np.concatenate([mesh.elements[:, j] for _, j in pairs])
-    data = np.concatenate([local(i, j) for i, j in pairs])
-    n = mesh.node_count
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+# Assembly: products with the mesh operators G and P^T
 
 
 def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """p=2 stiffness matrix K_ij = int grad(phi_i) . grad(phi_j)."""
-    g = mesh.grad_phi
-    return _assemble(mesh, lambda i, j: np.einsum("ed,ed->e", g[:, i, :], g[:, j, :]) * mesh.element_measure)
+    """p=2 stiffness matrix K_ij = int grad(phi_i) . grad(phi_j), i.e. G^T diag(|T|) G."""
+    weights = sp.diags(np.repeat(mesh.element_measure, mesh.dimension))
+    return (mesh.grad_op_t @ weights @ mesh.grad_op).tocsr()
 
 
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent mass matrix under the element quadrature rule."""
-    phi = mesh.phi_at_quad
-    return _assemble(mesh, lambda i, j: mesh.quad_weights @ (phi[:, i] * phi[:, j]))
+    """Consistent mass matrix under the element quadrature rule, i.e. P^T diag(w) P."""
+    return (mesh.interp_t @ sp.diags(mesh.quad_weights.ravel()) @ mesh.interp_t.T).tocsr()
 
 
 def p_stiffness_vector(mesh: Mesh, values: np.ndarray, p: float) -> np.ndarray:
     """Nodal vector with entries int |grad u|^(p-2) grad u . grad phi_i."""
-    g = grad_at_elements(mesh, values)
-    if p == 2:
-        flux = g
-    else:
-        mag2 = np.einsum("ed,ed->e", g, g)
-        flux = (mag2 ** ((p - 2) / 2.0))[:, None] * g
-    out = np.zeros(mesh.node_count)
-    nl = mesh.dimension + 1
-    for i in range(nl):
-        contrib = np.einsum("ed,ed->e", flux, mesh.grad_phi[:, i, :]) * mesh.element_measure
-        np.add.at(out, mesh.elements[:, i], contrib)
-    return out
+    flux = grad_at_elements(mesh, values)
+    if p != 2:
+        flux = ((flux * flux).sum(axis=1) ** ((p - 2) / 2.0))[:, None] * flux
+    return mesh.grad_op_t @ (mesh.element_measure[:, None] * flux).ravel()
 
 
 def p_mass_vector(mesh: Mesh, values: np.ndarray, p: float) -> np.ndarray:
@@ -367,10 +374,7 @@ def p_mass_vector(mesh: Mesh, values: np.ndarray, p: float) -> np.ndarray:
 def load_vector(mesh: Mesh, fq) -> np.ndarray:
     """Nodal vector int f phi_i for integrand values fq at quadrature points."""
     fq = np.broadcast_to(np.asarray(fq, dtype=float), mesh.quad_weights.shape)
-    contrib = (mesh.quad_weights * fq) @ mesh.phi_at_quad
-    out = np.zeros(mesh.node_count)
-    np.add.at(out, mesh.elements, contrib)
-    return out
+    return mesh.interp_t @ (mesh.quad_weights * fq).ravel()
 
 
 class RieszMap:
