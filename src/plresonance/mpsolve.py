@@ -53,7 +53,7 @@ _ARMIJO_SLOPE = 1e-4
 _TIE_TOL = 1e-14
 _STALL_WINDOW = 40
 _STALL_DROP = 1e-13
-_PS_JUMP = 10.0  # a last iterate this many times beyond every earlier norm
+_PS_JUMP = 10.0  # norm growth that flags a short run (see detect_ps_violation)
 # Newton polish: the finite-difference tangent is accurate to about 1e-9
 # relative, so the inner MINRES solve need not go below 1e-8
 _MINRES_RTOL = 1e-8
@@ -166,26 +166,35 @@ def find_low_point(
 
 
 def _sphere_descend(spec, u: np.ndarray, rho: float, steps: int):
-    """Constrained descent on the ||.||_{1,p} = rho sphere via rescaling."""
+    """Constrained descent on the ||.||_{1,p} = rho sphere via rescaling.
+
+    Each line search starts at the step the previous one accepted (t = 1
+    for the first) and halves t until the energy drops by the margin
+    1e-12 max(1, |I|); it gives up once the predicted drop t * slope is
+    below that margin, which no further halving can make up.
+    """
     cur = energy(spec, Field(spec.mesh, u))
     best = cur
     evals = 1
+    t = 1.0
     for _ in range(steps):
         r = weak_gradient(spec, Field(spec.mesh, u))
         d = project_admissible(spec.mesh, spec.bc_kind, spec.riesz.solve(r))
         slope = float(r @ d)
         if slope <= 1e-30:
             break
-        t = 1.0
+        margin = 1e-12 * max(1.0, abs(cur))
         accepted = False
         for _ in range(40):
+            if t * slope < margin:
+                break
             w = project_admissible(spec.mesh, spec.bc_kind, u - t * d)
             nw = sobolev_norm_1p(Field(spec.mesh, w), spec.p)
             if nw > 1e-300:
                 trial = w * (rho / nw)
                 e_t = energy(spec, Field(spec.mesh, trial))
                 evals += 1
-                if e_t < cur - 1e-12 * max(1.0, abs(cur)):
+                if e_t < cur - margin:
                     accepted = True
                     break
             t *= 0.5
@@ -285,40 +294,37 @@ def _redistribute(spec: ProblemSpec, nodes: list) -> list:
     return out
 
 
-def _record(spec: ProblemSpec, u: np.ndarray, level: float, history: list):
-    """Weak residual at u and its dual norm; appends u's Cerami record, at energy ``level``, to history."""
-    field = Field(spec.mesh, u)
-    r = weak_gradient(spec, field)
-    res = dual_norm(spec, r)
-    nrm = sobolev_norm_1p(field, spec.p)
+def _residual(spec: ProblemSpec, u: np.ndarray):
+    """Weak residual at u and its dual norm."""
+    r = weak_gradient(spec, Field(spec.mesh, u))
+    return r, dual_norm(spec, r)
+
+
+def _record(spec: ProblemSpec, u: np.ndarray, level: float, res: float, history: list):
+    """Appends u's Cerami record, at energy ``level`` and dual residual ``res``, to history."""
+    nrm = sobolev_norm_1p(Field(spec.mesh, u), spec.p)
     history.append(CeramiRecord(energy=level, residual=res, measure=(1.0 + nrm) * res, norm=nrm))
-    return r, res
 
 
 def detect_ps_violation(history: list, converged: bool, tol: float) -> bool:
     """Flag iterate-norm divergence with a non-vanishing Cerami measure.
 
-    On a run that failed to converge, either of two signs counts.  The
-    last iterate's norm exceeds every earlier one by the factor
-    ``_PS_JUMP`` with its measure above tolerance: the run left the
-    bounded region in one step and stopped there, however short the
-    history.  Or, over at least 20 records, the trailing tenth of the
-    norms is more than double the leading tenth with the trailing measures
-    still above tolerance.  Either signals a compactness failure rather
-    than a slow solve.
+    On a run that failed to converge, with n >= 2 records and the window
+    w = max(1, n // 10): every norm in the last w records exceeds every
+    norm in the first w by the factor ``_PS_JUMP`` (below 20 records) or
+    2 (from 20 on), and every measure in the last w is above tolerance.
+    The run left the bounded region and stayed out, whether in one step
+    or over many, which signals a compactness failure rather than a slow
+    solve.
     """
-    if converged or len(history) < 2:
+    n = len(history)
+    if converged or n < 2:
         return False
-    norms = [rec.norm for rec in history]
-    if norms[-1] > _PS_JUMP * max(norms[:-1]) and history[-1].measure > tol:
-        return True
-    if len(history) < 20:
-        return False
-    window = max(1, len(history) // 10)
-    head = max(norms[:window])
-    tail = min(norms[-window:])
-    tail_measure = min(rec.measure for rec in history[-window:])
-    return tail > 2.0 * head and tail_measure > tol
+    window = max(1, n // 10)
+    head = max(rec.norm for rec in history[:window])
+    tail = history[-window:]
+    jump = _PS_JUMP if n < 20 else 2.0
+    return min(rec.norm for rec in tail) > jump * head and all(rec.measure > tol for rec in tail)
 
 
 def _max_interior(energies: np.ndarray) -> int:
@@ -368,7 +374,8 @@ def mountain_pass(
         start = list(nodes)
         k = _max_interior(energies)
         u = nodes[k]
-        r, res = _record(spec, u, float(energies[k]), history)
+        r, res = _residual(spec, u)
+        _record(spec, u, float(energies[k]), res, history)
         iterations += 1
         if res <= tol:
             break
@@ -398,7 +405,7 @@ def mountain_pass(
         for _ in range(60):
             trial = u - t * d
             e_t = energy(spec, Field(mesh, trial))
-            if e_t <= energies[k] - _ARMIJO_SLOPE * t * slope:
+            if e_t <= energies[k] - _ARMIJO_SLOPE * t * slope and e_t < energies[k]:
                 accepted = True
                 break
             t *= 0.5
@@ -494,14 +501,14 @@ def _polish(spec, u, r, res, tol, max_iter, iterations, history):
         t = 1.0
         for _ in range(60):
             trial = u - t * d
-            res_t = dual_norm(spec, weak_gradient(spec, Field(mesh, trial)))
+            r_t, res_t = _residual(spec, trial)
             if res_t <= (1.0 - _ARMIJO_SLOPE * t) * res:
                 break
             t *= 0.5
         else:
             break
-        u = trial
-        r, res = _record(spec, u, energy(spec, Field(mesh, u)), history)
+        u, r, res = trial, r_t, res_t
+        _record(spec, u, energy(spec, Field(mesh, u)), res, history)
         iterations += 1
     return u, res, iterations
 
