@@ -483,17 +483,38 @@ _CALL_UFUNCS = {
 }
 
 
-def _subtrees(node: Node):
-    yield node
-    for child in _children(node):
-        yield from _subtrees(child)
+def _structure_ids(root: Node):
+    """``(ids, counts)``: ``ids[id(node)]`` is a number, equal exactly for
+    equal subtrees, and ``counts`` counts the operations (Neg, Bin, Call) by it.
+
+    Built bottom-up in one pass: a node's key is its kind, its label and
+    its children's numbers, so no subtree is visited twice.  A literal's
+    label is its repr, which tells 0.0 from -0.0.
+    """
+    table, ids, counts = {}, {}, Counter()
+
+    def visit(node):
+        kids = tuple(map(visit, _children(node)))
+        if isinstance(node, Num):
+            label = repr(float(node.value))
+        elif isinstance(node, Bin):
+            label = node.op
+        else:
+            label = getattr(node, "name", None)
+        ids[id(node)] = number = table.setdefault((type(node), label, kids), len(table))
+        if kids:  # an operation: Neg, Bin or Call
+            counts[number] += 1
+        return number
+
+    visit(root)
+    return ids, counts
 
 
-def _compile_node(node: Node, slots: dict):
-    """Closure for ``node``; ``slots`` maps a variable name, or the repr of a
-    sub-expression met more than once, to its place in ``values``."""
-    fn = _compile_op(node, slots)
-    slot = slots.get(repr(node))
+def _compile_node(node: Node, slots: dict, ids: dict):
+    """Closure for ``node``; ``slots`` maps a variable name, or the structure
+    id of a sub-expression met more than once, to its place in ``values``."""
+    fn = _compile_op(node, slots, ids)
+    slot = slots.get(ids[id(node)])
     if slot is None:
         return fn
 
@@ -506,7 +527,7 @@ def _compile_node(node: Node, slots: dict):
     return shared
 
 
-def _compile_op(node: Node, slots: dict):
+def _compile_op(node: Node, slots: dict, ids: dict):
     if isinstance(node, (Num, Const)):
         value = float(node.value) if isinstance(node, Num) else CONSTANTS[node.name]
         return lambda values: value
@@ -514,17 +535,17 @@ def _compile_op(node: Node, slots: dict):
         slot = slots[node.name]
         return lambda values: values[slot]
     if isinstance(node, Neg):
-        operand = _compile_node(node.operand, slots)
+        operand = _compile_node(node.operand, slots, ids)
         return lambda values: np.negative(operand(values))
     if isinstance(node, Bin):
         ufunc = _BINARY_UFUNCS[node.op]
-        left, right = _compile_node(node.left, slots), _compile_node(node.right, slots)
+        left, right = _compile_node(node.left, slots, ids), _compile_node(node.right, slots, ids)
         return lambda values: ufunc(left(values), right(values))
     ufunc = _CALL_UFUNCS[node.name]
     if len(node.args) == 1:
-        arg = _compile_node(node.args[0], slots)
+        arg = _compile_node(node.args[0], slots, ids)
         return lambda values: ufunc(arg(values))
-    first, second = (_compile_node(a, slots) for a in node.args)
+    first, second = (_compile_node(a, slots, ids) for a in node.args)
     return lambda values: ufunc(first(values), second(values))
 
 
@@ -533,17 +554,17 @@ def _compile(root: Node):
 
     ``fn`` calls the ufuncs of ``_eval`` in the same order, without its
     checks, and computes a sub-expression that occurs more than once only
-    once (its repr, exact down to the sign of a zero, is the key).  None
+    once (keyed by ``_structure_ids``, exact down to the sign of a zero).  None
     when a literal is not finite (``1e999``), since the argument in
     ``_evaluate_compiled`` needs finite literals.
     """
     if not _finite_literals(root):
         return None
     names = tuple(sorted(_free_vars(root)))
-    counts = Counter(repr(n) for n in _subtrees(root) if isinstance(n, (Neg, Bin, Call)))
+    ids, counts = _structure_ids(root)
     repeated = [key for key, k in counts.items() if k > 1]
     slots = {key: i for i, key in enumerate(names + tuple(repeated))}
-    fn = _compile_node(root, slots)
+    fn = _compile_node(root, slots, ids)
     blank = [None] * len(repeated)
     return names, lambda values: fn(values + blank)
 
