@@ -484,13 +484,10 @@ _CALL_UFUNCS = {
 
 
 def _structure_ids(root: Node):
-    """``(ids, counts)``: ``ids[id(node)]`` is a number, equal exactly for
-    equal subtrees, and ``counts`` counts the operations (Neg, Bin, Call) by it.
-
-    Built bottom-up in one pass: a node's key is its kind, its label and
-    its children's numbers, so no subtree is visited twice.  A literal's
-    label is its repr, which tells 0.0 from -0.0.
-    """
+    """``(ids, counts)``: ``ids[id(node)]`` is equal exactly for equal subtrees
+    (a node's key is its kind, label and children's ids, built bottom-up in one
+    pass; a literal's label is its repr, which tells 0.0 from -0.0), and
+    ``counts`` counts the operations (Neg, Bin, Call) by id."""
     table, ids, counts = {}, {}, Counter()
 
     def visit(node):

@@ -83,22 +83,19 @@ class Mesh:
     interp_t: sp.csr_matrix = field(init=False, repr=False)   # P^T, (N, E*Q): P u = values at quadrature points
 
     def __post_init__(self):
-        dim, n = self.dimension, self.node_count
-        n_elem, nl = self.elements.shape
-        n_quad = self.phi_at_quad.shape[0]
-
-        def rows_over_elements(data, per_element):
-            cols = np.repeat(self.elements, per_element, axis=0)
+        def by_element(data):
+            """(E*k, N) operator whose row e*k + j holds data[e, j, :] at element e's nodes."""
+            n_elem, k, nl = data.shape
+            cols = np.repeat(self.elements, k, axis=0).ravel()
             indptr = np.arange(0, cols.size + 1, nl)
-            op = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n_elem * per_element, n))
+            op = sp.csr_matrix((data.ravel(), cols, indptr), shape=(n_elem * k, self.node_count))
             op.eliminate_zeros()
             return op
 
-        grad_op = rows_over_elements(self.grad_phi.transpose(0, 2, 1), dim)
-        interp = rows_over_elements(np.tile(self.phi_at_quad, (n_elem, 1)), n_quad)
-        object.__setattr__(self, "grad_op", grad_op)
-        object.__setattr__(self, "grad_op_t", grad_op.T.tocsr())
-        object.__setattr__(self, "interp_t", interp.T.tocsr())
+        grad_op = by_element(self.grad_phi.transpose(0, 2, 1))
+        interp = by_element(np.broadcast_to(self.phi_at_quad, (len(self.elements),) + self.phi_at_quad.shape))
+        for name, op in (("grad_op", grad_op), ("grad_op_t", grad_op.T.tocsr()), ("interp_t", interp.T.tocsr())):
+            object.__setattr__(self, name, op)
 
     @property
     def node_count(self) -> int:
@@ -119,17 +116,12 @@ class Field:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.mesh.node_count,):
-            raise ValueError(
-                f"field length {self.values.shape} does not match node count {self.mesh.node_count}"
-            )
+            raise ValueError(f"field length {self.values.shape} does not match node count {self.mesh.node_count}")
 
     @classmethod
     def interpolate(cls, mesh: Mesh, fn) -> "Field":
         """Nodal interpolant of a callable fn(x) (1D) or fn(x, y) (2D)."""
-        if mesh.dimension == 1:
-            vals = fn(mesh.nodes[:, 0])
-        else:
-            vals = fn(mesh.nodes[:, 0], mesh.nodes[:, 1])
+        vals = fn(*mesh.nodes.T)
         return cls(mesh, np.broadcast_to(np.asarray(vals, dtype=float), (mesh.node_count,)).copy())
 
     @classmethod
@@ -231,24 +223,13 @@ def build_rectangle_mesh(x_range, y_range, nx: int, ny: int) -> Mesh:
     j_of = np.repeat(np.arange(ny + 1), nx + 1)
     is_boundary = (i_of == 0) | (i_of == nx) | (j_of == 0) | (j_of == ny)
 
-    edges = []
-    lengths = []
-    dx = (x1 - x0) / nx
-    dy = (y1 - y0) / ny
-    for i in range(nx):
-        edges.append((idx(i, 0), idx(i + 1, 0)))
-        lengths.append(dx)
-    for i in range(nx):
-        edges.append((idx(i, ny), idx(i + 1, ny)))
-        lengths.append(dx)
-    for j in range(ny):
-        edges.append((idx(0, j), idx(0, j + 1)))
-        lengths.append(dy)
-    for j in range(ny):
-        edges.append((idx(nx, j), idx(nx, j + 1)))
-        lengths.append(dy)
-    boundary_edges = np.array(edges)
-    boundary_edge_measure = np.array(lengths)
+    # bottom, top, left, right
+    i, j = np.arange(nx), np.arange(ny)
+    boundary_edges = np.vstack(
+        [np.column_stack(pair) for pair in ((idx(i, 0), idx(i + 1, 0)), (idx(i, ny), idx(i + 1, ny)),
+                                            (idx(0, j), idx(0, j + 1)), (idx(nx, j), idx(nx, j + 1)))]
+    )
+    boundary_edge_measure = np.repeat([(x1 - x0) / nx, (y1 - y0) / ny], [2 * nx, 2 * ny])
 
     boundary_weights = np.bincount(
         boundary_edges.ravel(), weights=np.repeat(0.5 * boundary_edge_measure, 2), minlength=nodes.shape[0]
@@ -419,13 +400,7 @@ def write_field_csv(u: Field, path) -> None:
     """Write node records ``node_index,x[,y],value``."""
     mesh = u.mesh
     with open(path, "w", encoding="utf-8") as fh:
-        if mesh.dimension == 1:
-            fh.write("node_index,x,value\n")
-            for i in range(mesh.node_count):
-                fh.write(f"{i},{float(mesh.nodes[i, 0])!r},{float(u.values[i])!r}\n")
-        else:
-            fh.write("node_index,x,y,value\n")
-            for i in range(mesh.node_count):
-                fh.write(
-                    f"{i},{float(mesh.nodes[i, 0])!r},{float(mesh.nodes[i, 1])!r},{float(u.values[i])!r}\n"
-                )
+        fh.write("node_index,x,value\n" if mesh.dimension == 1 else "node_index,x,y,value\n")
+        for i in range(mesh.node_count):
+            coords = ",".join(repr(float(c)) for c in mesh.nodes[i])
+            fh.write(f"{i},{coords},{float(u.values[i])!r}\n")

@@ -309,13 +309,11 @@ def _record(spec: ProblemSpec, u: np.ndarray, level: float, res: float, history:
 def detect_ps_violation(history: list, converged: bool, tol: float) -> bool:
     """Flag iterate-norm divergence with a non-vanishing Cerami measure.
 
-    On a run that failed to converge, with n >= 2 records and the window
-    w = max(1, n // 10): every norm in the last w records exceeds every
-    norm in the first w by the factor ``_PS_JUMP`` (below 20 records) or
-    2 (from 20 on), and every measure in the last w is above tolerance.
-    The run left the bounded region and stayed out, whether in one step
-    or over many, which signals a compactness failure rather than a slow
-    solve.
+    On an unconverged run of n >= 2 records, with the window w = max(1, n // 10):
+    every norm in the last w exceeds every norm in the first w by ``_PS_JUMP``
+    (n < 20) or 2 (n >= 20), and every measure in the last w is above tol.  The
+    run left the bounded region and stayed out, in one step or over many: a
+    compactness failure rather than a slow solve.
     """
     n = len(history)
     if converged or n < 2:
@@ -405,6 +403,8 @@ def mountain_pass(
         for _ in range(60):
             trial = u - t * d
             e_t = energy(spec, Field(mesh, trial))
+            # a slope at rounding level passes the Armijo test with no drop at
+            # all; such a step only moves the path by rounding, so it must fail
             if e_t <= energies[k] - _ARMIJO_SLOPE * t * slope and e_t < energies[k]:
                 accepted = True
                 break

@@ -11,7 +11,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from plresonance import expr as ex
-from plresonance.mesh import mass_matrix, stiffness_matrix
 
 
 def rational_eval(node, bindings):
@@ -40,6 +39,25 @@ def rational_eval(node, bindings):
     raise ValueError(f"rational oracle cannot evaluate {node!r}")
 
 
+def element_pair_matrices(mesh):
+    """Dense stiffness and mass matrices summed element by element, local node pair by pair.
+
+    K_ab += |T| grad(phi_i) . grad(phi_j) and M_ab += sum_q w_q phi_i(q) phi_j(q)
+    for the local nodes i, j of T at global nodes a, b: the element formulas,
+    independent of the sparse operators ``plresonance.mesh`` assembles with.
+    """
+    n = mesh.node_count
+    K = np.zeros((n, n))
+    M = np.zeros((n, n))
+    phi = mesh.phi_at_quad
+    for e, element in enumerate(mesh.elements):
+        for i, a in enumerate(element):
+            for j, b in enumerate(element):
+                K[a, b] += mesh.element_measure[e] * float(mesh.grad_phi[e, i] @ mesh.grad_phi[e, j])
+                M[a, b] += float(mesh.quad_weights[e] @ (phi[:, i] * phi[:, j]))
+    return K, M
+
+
 def dense_first_eigenvalue(mesh, dirichlet=True):
     """Smallest generalized eigenvalue of (K, M) on the admissible block.
 
@@ -47,8 +65,7 @@ def dense_first_eigenvalue(mesh, dirichlet=True):
     second eigenvalue of the unconstrained pair (eigenvectors are
     M-orthogonal to the constant mode).
     """
-    K = stiffness_matrix(mesh).toarray()
-    M = mass_matrix(mesh).toarray()
+    K, M = element_pair_matrices(mesh)
     if dirichlet:
         idx = mesh.interior_nodes
         vals = sla.eigh(K[np.ix_(idx, idx)], M[np.ix_(idx, idx)], eigvals_only=True)

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plresonance as pl
+from oracles import element_pair_matrices
 from plresonance.mesh import (
     Field,
     RieszMap,
+    grad_at_elements,
     load_vector,
     mass_matrix,
     p_mass_vector,
     p_stiffness_vector,
     project_admissible,
     stiffness_matrix,
+    values_at_quad,
 )
 
 
@@ -282,3 +286,63 @@ def test_project_admissible_is_a_projection(bc, two_d):
         assert np.allclose(w - v, w[0] - v[0])  # a constant shift
     assert np.allclose(project_admissible(m, bc, w), w, atol=1e-14)
     assert not np.shares_memory(w, v)
+
+
+# --- the kernels as products with the mesh operators ---------------------------
+
+KERNEL_MESHES = {
+    "interval": lambda: pl.build_interval_mesh(0.0, 1.0, 12),
+    "square": lambda: pl.build_rectangle_mesh((0, 1), (0, 2), 4, 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_MESHES))
+def test_grad_at_elements_matches_element_loop(kind):
+    m = KERNEL_MESHES[kind]()
+    v = np.random.default_rng(5).uniform(-1, 1, m.node_count)
+    expected = np.array([sum(v[a] * m.grad_phi[e, i] for i, a in enumerate(el)) for e, el in enumerate(m.elements)])
+    assert np.allclose(grad_at_elements(m, v), expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("kind", sorted(KERNEL_MESHES))
+def test_p_stiffness_vector_is_gradient_of_seminorm(kind, p):
+    # d/du_i of ||Du||_p^p / p by central differences
+    m = KERNEL_MESHES[kind]()
+    v = np.random.default_rng(6).uniform(-1, 1, m.node_count)
+    h = 1e-6
+    fd = np.empty(m.node_count)
+    for i in range(m.node_count):
+        step = np.zeros(m.node_count)
+        step[i] = h
+        fd[i] = (pl.grad_seminorm_p(Field(m, v + step), p) - pl.grad_seminorm_p(Field(m, v - step), p)) / (2 * h * p)
+    got = p_stiffness_vector(m, v, p)
+    assert np.allclose(got, fd, rtol=0, atol=1e-7 * np.abs(fd).max())
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("kind", sorted(KERNEL_MESHES))
+def test_load_vector_matches_element_loop(kind, p):
+    # the integrand of p_mass_vector, |u|^(p-2) u, at the quadrature points
+    m = KERNEL_MESHES[kind]()
+    v = np.random.default_rng(7).uniform(-1, 1, m.node_count)
+    uq = values_at_quad(m, v)
+    fq = np.abs(uq) ** (p - 2) * uq
+    expected = np.zeros(m.node_count)
+    for e, el in enumerate(m.elements):
+        for q in range(m.phi_at_quad.shape[0]):
+            for i, a in enumerate(el):
+                expected[a] += m.quad_weights[e, q] * fq[e, q] * m.phi_at_quad[q, i]
+    scale = np.abs(expected).max()
+    assert np.allclose(load_vector(m, fq), expected, rtol=0, atol=1e-14 * scale)
+    assert np.allclose(p_mass_vector(m, v, p), expected, rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_MESHES))
+def test_stiffness_and_mass_match_element_pair_formulas(kind):
+    m = KERNEL_MESHES[kind]()
+    K_ref, M_ref = element_pair_matrices(m)
+    K, M = stiffness_matrix(m), mass_matrix(m)
+    assert sp.issparse(K) and K.format == "csr" and M.format == "csr"
+    assert np.abs(K.toarray() - K_ref).max() <= 1e-14 * np.abs(K_ref).max()
+    assert np.abs(M.toarray() - M_ref).max() <= 1e-14 * np.abs(M_ref).max()

@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import plresonance as pl
-from conftest import BENCH_F, BENCH_f, make_bench_spec, parse_u, parse_x, random_admissible
+from conftest import BENCH_F, BENCH_f, bench_config_text, make_bench_spec, parse_u, parse_x, random_admissible
+from plresonance import cli
 from plresonance.functional import ProblemSpec, energy, weak_gradient, dual_norm
 from plresonance.mesh import Field, sobolev_norm_1p
 from plresonance.functional import CeramiRecord
@@ -285,6 +287,19 @@ def test_ps_violation_detector_one_step_escape():
     assert not detect_ps_violation(_records([1298.0], [292.0]), converged=False, tol=1e-6)
 
 
+def test_ps_violation_detector_lingering_escape():
+    # the run leaves for norm ~640 and stays out for a few records with the
+    # residual stuck, so its last norm is not above every earlier one
+    bounded = [0.33] * 10
+    escaped = [642.0, 644.0, 643.9]
+    measures = [0.3] * 10 + [145.0] * 3
+    assert detect_ps_violation(_records(bounded + escaped, measures), converged=False, tol=1e-6)
+    # the same escape ending with the measure below tolerance is not flagged
+    assert not detect_ps_violation(_records(bounded + escaped, measures[:-1] + [1e-9]), converged=False, tol=1e-6)
+    # nor is one that comes back to the bounded region
+    assert not detect_ps_violation(_records(bounded + escaped + [0.4], measures + [0.3]), converged=False, tol=1e-6)
+
+
 def test_no_critical_point_flags_ps_violation():
     # the setup of test_no_critical_point_fails_fast: the last Newton step
     # leaves for norm ~1e3 with the residual unchanged
@@ -293,3 +308,42 @@ def test_no_critical_point_flags_ps_violation():
     result = mountain_pass(spec, e, path_nodes=11, tol=1e-6, max_iter=2000)
     assert not result.converged
     assert result.ps_violation
+
+
+# --- geometry on the Neumann bench problem, 32x32 square ---------------------------
+
+# ring_trace of the geometry stage, seed 7, from the sphere descent that
+# started every line search at t = 1 and always ran its forty halvings
+NEUMANN_SQUARE_RING_TRACE = [
+    (0.05, 0.0012501392615019951),
+    (0.1, 0.005000557042273374),
+    (0.2, 0.020002228109340648),
+    (0.5, 0.12501392306946155),
+]
+
+
+def neumann_square_config_text(n=32):
+    return (
+        bench_config_text()
+        .replace("dimension = 1", "dimension = 2")
+        .replace("n = 128", f"ymin = 0\nymax = 1\nnx = {n}\nny = {n}")
+        .replace("bc = dirichlet", 'bc = neumann\ng = "0"\nG = "0"')
+        .replace('a = "3"', 'h_boundary = "0"\na = "3"')
+        .replace("rho_grid = 0.05,0.1,0.2,0.5,1.0", "rho_grid = 0.05,0.1,0.2,0.5")
+    )
+
+
+def test_neumann_square_geometry_spends_few_samples(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(neumann_square_config_text())
+    out = tmp_path / "out"
+    assert cli.main(["geometry", "--config", str(cfg), "--out", str(out)]) == 0
+    geometry = json.loads((out / "report.json").read_text())["stages"]["geometry"]
+    # each sphere step used to reject t = 1 and accept t = 1/2: 2440 samples
+    assert geometry["sphere_samples"] <= 1300
+    assert geometry["rho"] == 0.5
+    assert len(geometry["ring_trace"]) == len(NEUMANN_SQUARE_RING_TRACE)
+    for (rho, m), (rho_ref, m_ref) in zip(geometry["ring_trace"], NEUMANN_SQUARE_RING_TRACE):
+        assert rho == rho_ref
+        assert m == pytest.approx(m_ref, rel=1e-12, abs=0)
+    assert geometry["a_estimate"] == pytest.approx(NEUMANN_SQUARE_RING_TRACE[-1][1], rel=1e-12, abs=0)
