@@ -294,12 +294,6 @@ def _redistribute(spec: ProblemSpec, nodes: list) -> list:
     return out
 
 
-def _residual(spec: ProblemSpec, u: np.ndarray):
-    """Weak residual at u and its dual norm."""
-    r = weak_gradient(spec, Field(spec.mesh, u))
-    return r, dual_norm(spec, r)
-
-
 def _record(spec: ProblemSpec, u: np.ndarray, level: float, res: float, history: list):
     """Appends u's Cerami record, at energy ``level`` and dual residual ``res``, to history."""
     nrm = sobolev_norm_1p(Field(spec.mesh, u), spec.p)
@@ -372,7 +366,8 @@ def mountain_pass(
         start = list(nodes)
         k = _max_interior(energies)
         u = nodes[k]
-        r, res = _residual(spec, u)
+        r = weak_gradient(spec, Field(mesh, u))
+        res = dual_norm(spec, r)
         _record(spec, u, float(energies[k]), res, history)
         iterations += 1
         if res <= tol:
@@ -501,7 +496,8 @@ def _polish(spec, u, r, res, tol, max_iter, iterations, history):
         t = 1.0
         for _ in range(60):
             trial = u - t * d
-            r_t, res_t = _residual(spec, trial)
+            r_t = weak_gradient(spec, Field(mesh, trial))
+            res_t = dual_norm(spec, r_t)
             if res_t <= (1.0 - _ARMIJO_SLOPE * t) * res:
                 break
             t *= 0.5
