@@ -8,11 +8,11 @@ and G(x, u) = int_0^u g(x, r) dr:
 * Neumann:    I(u) = (1/p)||Du||_p^p - int F(x, u) dx + int_bdry G(x, u) ds.
 
 ``weak_gradient`` assembles the nodal residual <I'(u), phi_i> with the same
-quadrature as ``energy``, so central finite differences of the energy match
-the assembled gradient to near machine precision.  The dual norm realizing
-||I'(u)|| is the p=2 Riesz norm (stiffness on the Dirichlet interior,
-stiffness plus mass for Neumann), fixed once per problem for
-reproducibility.  The Cerami measure is (1 + ||u||_{1,p}) ||I'(u)||_*.
+quadrature as ``energy`` (central differences of the energy match it to near
+machine precision), and ``tangent`` assembles I''(u) by the same rule.  The
+dual norm realizing ||I'(u)|| is the p=2 Riesz norm (stiffness on the
+Dirichlet interior, stiffness plus mass for Neumann), fixed once per problem
+for reproducibility.  The Cerami measure is (1 + ||u||_{1,p}) ||I'(u)||_*.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import expr as ex
 from .mesh import (
@@ -30,9 +31,10 @@ from .mesh import (
     grad_seminorm_p,
     is_dirichlet_admissible,
     load_vector,
-    p_mass_vector,
+    mass_matrix,
     p_stiffness_vector,
     sobolev_norm_1p,
+    stiffness_matrix,
     values_at_quad,
 )
 
@@ -43,6 +45,7 @@ __all__ = [
     "NumericAntiderivative",
     "energy",
     "weak_gradient",
+    "tangent",
     "dual_norm",
     "cerami_measure",
 ]
@@ -265,13 +268,35 @@ def weak_gradient(spec: ProblemSpec, u: Field) -> np.ndarray:
     fq = spec.f(spec.quad_coords, uq)
     r -= load_vector(mesh, fq)
     if spec.bc_kind is BCKind.DIRICHLET:
-        r -= spec.lambda1 * p_mass_vector(mesh, u.values, p)
+        # p_mass_vector(mesh, u.values, p), from the values already at the quadrature points
+        r -= spec.lambda1 * load_vector(mesh, uq if p == 2 else np.abs(uq) ** (p - 2) * uq)
         r[mesh.boundary_nodes] = 0.0
     else:
         ub = u.values[mesh.boundary_nodes]
         gb = np.broadcast_to(np.asarray(spec.g(spec.boundary_coords, ub), dtype=float), ub.shape)
         r[mesh.boundary_nodes] += spec.boundary_node_weights * gb
     return r
+
+
+def _u_derivative(fn, coords: dict, u: np.ndarray) -> np.ndarray:
+    """d/du fn(coords, u) by central differences with step 1e-6 (1 + |u|)."""
+    h = 1e-6 * (1.0 + np.abs(u))
+    return (fn(coords, u + h) - fn(coords, u - h)) / (2.0 * h)
+
+
+def tangent(spec: ProblemSpec, u: Field) -> sp.csr_matrix:
+    """Second variation J(u) = I''(u) as a sparse nodal matrix, Dirichlet boundary rows and columns kept."""
+    _require_admissible(spec, u)
+    uq = values_at_quad(spec.mesh, u.values)
+    c = _u_derivative(spec.f, spec.quad_coords, uq)
+    if spec.bc_kind is BCKind.DIRICHLET:
+        c = c + spec.lambda1 * (spec.p - 1) * np.abs(uq) ** (spec.p - 2)
+    J = stiffness_matrix(spec.mesh, u.values, spec.p) - mass_matrix(spec.mesh, c)
+    if spec.bc_kind is BCKind.NEUMANN:
+        bn = spec.mesh.boundary_nodes
+        g_u = spec.boundary_node_weights * _u_derivative(spec.g, spec.boundary_coords, u.values[bn])
+        J = J + sp.csr_matrix((g_u, (bn, bn)), shape=J.shape)
+    return J
 
 
 def dual_norm(spec: ProblemSpec, r: np.ndarray) -> float:

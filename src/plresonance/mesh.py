@@ -8,8 +8,8 @@ lumped boundary weights realizing the trapezoidal surface measure.  From
 these it builds two sparse operators once: the gradient operator G (element
 gradients G u) and the transpose P^T of the quadrature interpolation.  The
 assembly kernels are products with them: G^T (|T| flux) for the p-stiffness
-vector, P^T (w f) for load vectors, G^T diag(|T|) G and P^T diag(w) P for the
-stiffness and mass matrices.
+vector, P^T (w f) for load vectors, G^T diag(|T| A) G and P^T diag(w c) P
+for the Hessian of ||Du||_p^p / p (at p = 2, stiffness) and weighted mass.
 
 A ``Field`` is one nodal coefficient per mesh node and stands in for a
 discrete W^{1,p} function.  Norms follow the usual conventions:
@@ -81,6 +81,7 @@ class Mesh:
     grad_op: sp.csr_matrix = field(init=False, repr=False)    # G, (E*dim, N): G u = element gradients
     grad_op_t: sp.csr_matrix = field(init=False, repr=False)  # G^T
     interp_t: sp.csr_matrix = field(init=False, repr=False)   # P^T, (N, E*Q): P u = values at quadrature points
+    node_weights: np.ndarray = field(init=False, repr=False)  # P^T w: int u dx = node_weights . u
 
     def __post_init__(self):
         def by_element(data):
@@ -96,6 +97,7 @@ class Mesh:
         interp = by_element(np.broadcast_to(self.phi_at_quad, (len(self.elements),) + self.phi_at_quad.shape))
         for name, op in (("grad_op", grad_op), ("grad_op_t", grad_op.T.tocsr()), ("interp_t", interp.T.tocsr())):
             object.__setattr__(self, name, op)
+        object.__setattr__(self, "node_weights", self.interp_t @ self.quad_weights.ravel())
 
     @property
     def node_count(self) -> int:
@@ -301,8 +303,7 @@ def sobolev_norm_1p(u: Field, p: float) -> float:
 
 def mean_value(u: Field) -> float:
     """(1/|Omega|) int u dx under the same quadrature as lp_norm_p."""
-    uq = values_at_quad(u.mesh, u.values)
-    return float((u.mesh.quad_weights * uq).sum() / u.mesh.measure)
+    return float(u.mesh.node_weights @ u.values / u.mesh.measure)
 
 
 def boundary_integral(mesh: Mesh, phi_values: np.ndarray) -> float:
@@ -332,15 +333,25 @@ def project_admissible(mesh: Mesh, bc: BCKind, v: np.ndarray) -> np.ndarray:
 # Assembly: products with the mesh operators G and P^T
 
 
-def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """p=2 stiffness matrix K_ij = int grad(phi_i) . grad(phi_j), i.e. G^T diag(|T|) G."""
-    weights = sp.diags(np.repeat(mesh.element_measure, mesh.dimension))
+def stiffness_matrix(mesh: Mesh, values: np.ndarray | None = None, p: float = 2.0) -> sp.csr_matrix:
+    """Hessian of ||Du||_p^p / p at u = values, i.e. G^T diag(|T| A) G; at p = 2 the stiffness matrix K.
+
+    A = |g|^(p-2) (I + (p-2) g g^T / |g|^2) per element with g = grad u; where g = 0 there is no rank-one term.
+    """
+    if p == 2:
+        weights = sp.diags(np.repeat(mesh.element_measure, mesh.dimension))
+    else:
+        g = grad_at_elements(mesh, values)
+        sq = _squared_norms(g)
+        rank_one = (p - 2) * g[:, :, None] * g[:, None, :] / np.where(sq > 0, sq, 1.0)[:, None, None]
+        blocks = (mesh.element_measure * sq ** ((p - 2) / 2.0))[:, None, None] * (np.eye(mesh.dimension) + rank_one)
+        weights = sp.bsr_matrix((blocks, np.arange(len(g)), np.arange(len(g) + 1)))  # block diagonal
     return (mesh.grad_op_t @ weights @ mesh.grad_op).tocsr()
 
 
-def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """Consistent mass matrix under the element quadrature rule, i.e. P^T diag(w) P."""
-    return (mesh.interp_t @ sp.diags(mesh.quad_weights.ravel()) @ mesh.interp_t.T).tocsr()
+def mass_matrix(mesh: Mesh, c=1.0) -> sp.csr_matrix:
+    """Mass matrix int c phi_i phi_j for c scalar or at the quadrature points, i.e. P^T diag(w c) P."""
+    return (mesh.interp_t @ sp.diags((mesh.quad_weights * c).ravel()) @ mesh.interp_t.T).tocsr()
 
 
 def p_stiffness_vector(mesh: Mesh, values: np.ndarray, p: float) -> np.ndarray:

@@ -17,10 +17,9 @@ not raise the interior maximum), and a Cerami record is stored per
 iteration.  When the path phase stalls (no drop of the interior maximum
 over a window, no descent slope, a failed line search, or an iteration
 that leaves the path unchanged) the maximal node is polished by Newton's
-method on I'(u) = 0, starting from its last record.  The polish is
-matrix-free: each Newton step is a MINRES solve with J(u) v taken as a
-symmetric finite difference of the residual and the p=2 Riesz map as
-preconditioner, followed by an Armijo test on ||I'(u)||_*.
+method on I'(u) = 0, starting from its last record.  Each Newton step is
+one sparse direct solve with the assembled tangent J(u) = I''(u) on the
+admissible block, followed by an Armijo test on ||I'(u)||_*.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .eigen import EigenPair
-from .functional import CeramiRecord, ProblemSpec, dual_norm, energy, weak_gradient
+from .functional import CeramiRecord, ProblemSpec, cerami_measure, dual_norm, energy, tangent, weak_gradient
 from .mesh import BCKind, Field, project_admissible, sobolev_norm_1p
 
 __all__ = [
@@ -54,10 +53,6 @@ _TIE_TOL = 1e-14
 _STALL_WINDOW = 40
 _STALL_DROP = 1e-13
 _PS_JUMP = 10.0  # norm growth that flags a short run (see detect_ps_violation)
-# Newton polish: the finite-difference tangent is accurate to about 1e-9
-# relative, so the inner MINRES solve need not go below 1e-8
-_MINRES_RTOL = 1e-8
-_MINRES_MAX_ITER = 200
 
 
 class LowPointNotFound(RuntimeError):
@@ -425,13 +420,10 @@ def mountain_pass(
             break
 
     path_iterations = iterations
-    if res > tol:
-        u, res, iterations = _polish(spec, u, r, res, tol, max_iter, iterations, history)
+    u, res, iterations = _polish(spec, u, r, res, tol, max_iter, iterations, history)
 
     field = Field(mesh, u)
     converged = res <= tol
-    max_norm = max((rec.norm for rec in history), default=0.0)
-    ps_violation = detect_ps_violation(history, converged, tol)
     return MountainPassResult(
         u_star=field,
         level=energy(spec, field),
@@ -442,38 +434,9 @@ def mountain_pass(
         path_iterations=path_iterations,
         norm=sobolev_norm_1p(field, spec.p),
         converged=converged,
-        max_iterate_norm=max_norm,
-        ps_violation=ps_violation,
+        max_iterate_norm=max(rec.norm for rec in history),
+        ps_violation=detect_ps_violation(history, converged, tol),
     )
-
-
-def _fd_jacobian_apply(spec, u, v, scale):
-    """J(u) v by a symmetric finite difference of the residual."""
-    mesh = spec.mesh
-    vn = float(np.linalg.norm(v))
-    if vn <= 0:
-        return np.zeros_like(v)
-    eps = 1e-7 * (1.0 + scale) / vn
-    r_plus = weak_gradient(spec, Field(mesh, u + eps * v))
-    r_minus = weak_gradient(spec, Field(mesh, u - eps * v))
-    return (r_plus - r_minus) / (2.0 * eps)
-
-
-def _newton_direction(spec, u, r):
-    """MINRES solution d of J(u) d = r on the admissible block, zero elsewhere."""
-    free = spec.riesz.free
-
-    def embed(x):
-        v = np.zeros(spec.mesh.node_count)
-        v[free] = x
-        return v
-
-    u_scale = float(np.linalg.norm(u))
-    shape = (free.size, free.size)
-    jac = spla.LinearOperator(shape, matvec=lambda x: _fd_jacobian_apply(spec, u, embed(x), u_scale)[free])
-    precond = spla.LinearOperator(shape, matvec=lambda x: spec.riesz.solve(embed(x))[free])
-    step, _ = spla.minres(jac, r[free], M=precond, rtol=_MINRES_RTOL, maxiter=_MINRES_MAX_ITER)
-    return embed(step)
 
 
 def _polish(spec, u, r, res, tol, max_iter, iterations, history):
@@ -481,16 +444,17 @@ def _polish(spec, u, r, res, tol, max_iter, iterations, history):
 
     Starts from the residual r, of dual norm res, that the path phase
     recorded at u, so u is not recorded twice.  Each step solves
-    J(u) d = I'(u) by MINRES (J is symmetric but indefinite at a
-    mountain-pass point).  J v is a symmetric finite difference of the
-    residual, so no tangent matrix is assembled, and the prefactorized p=2
-    Riesz map is the preconditioner.  The step u - t d is accepted by an
-    Armijo test on ||I'||_* and its point recorded; a non-finite step or a
-    failed line search ends the polish unconverged.
+    J(u) d = I'(u) on the admissible block by one sparse direct solve with
+    the assembled tangent J(u) = I''(u), symmetric but indefinite at a
+    mountain-pass point.  The step u - t d must pass an Armijo test on
+    ||I'||_* and lower it strictly; its point is recorded.  A non-finite
+    step or a failed line search ends the polish unconverged.
     """
     mesh = spec.mesh
+    free = spec.riesz.free
     while res > tol and iterations < max_iter:
-        d = _newton_direction(spec, u, r)
+        d = np.zeros(mesh.node_count)
+        d[free] = spla.spsolve(tangent(spec, Field(mesh, u))[free][:, free], r[free])
         if not np.all(np.isfinite(d)):
             break
         t = 1.0
@@ -498,7 +462,8 @@ def _polish(spec, u, r, res, tol, max_iter, iterations, history):
             trial = u - t * d
             r_t = weak_gradient(spec, Field(mesh, trial))
             res_t = dual_norm(spec, r_t)
-            if res_t <= (1.0 - _ARMIJO_SLOPE * t) * res:
+            # below rounding the Armijo bound admits res_t == res: the same point until max_iter
+            if res_t <= (1.0 - _ARMIJO_SLOPE * t) * res and res_t < res:
                 break
             t *= 0.5
         else:
@@ -511,15 +476,13 @@ def _polish(spec, u, r, res, tol, max_iter, iterations, history):
 
 def verify_solution(spec: ProblemSpec, u: Field, tol: float = 1e-6) -> VerificationRecord:
     """Independent re-check: dual residual, level, and nontriviality."""
-    res = dual_norm(spec, weak_gradient(spec, u))
-    level = energy(spec, u)
-    nrm = sobolev_norm_1p(u, spec.p)
-    residual_ok = res <= tol
-    nontrivial = nrm > NONTRIVIALITY_NORM
+    rec = cerami_measure(spec, u)
+    residual_ok = rec.residual <= tol
+    nontrivial = rec.norm > NONTRIVIALITY_NORM
     return VerificationRecord(
-        residual=res,
-        level=level,
-        norm=nrm,
+        residual=rec.residual,
+        level=rec.energy,
+        norm=rec.norm,
         residual_ok=residual_ok,
         nontrivial=nontrivial,
         passed=residual_ok and nontrivial,

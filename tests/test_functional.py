@@ -15,6 +15,7 @@ from plresonance.functional import (
     cerami_measure,
     dual_norm,
     energy,
+    tangent,
     weak_gradient,
 )
 from plresonance.mesh import Field
@@ -111,6 +112,42 @@ def test_gradient_consistency_2d_neumann_with_boundary_term():
             an = float(r @ phi)
             worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-12))
     assert worst < 1e-5
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("bc", [pl.BCKind.DIRICHLET, pl.BCKind.NEUMANN])
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+def test_tangent_matches_residual_differences(dimension, bc, p):
+    # J(u) v against central differences of the weak gradient on the free
+    # block; the tangent identity holds for any lambda1, so none is computed.
+    # Fields are low modes, so that no term of J drowns the others at p = 4.5
+    if dimension == 1:
+        mesh, names = pl.build_interval_mesh(0.0, 1.0, 48), {"x", "u"}
+    else:
+        mesh, names = pl.build_rectangle_mesh((0, 1), (0, 1), 6, 6), {"x", "y", "u"}
+    extra = {}
+    if bc is pl.BCKind.NEUMANN:
+        extra = {"g_expr": pl.parse("u/(1+u^2)", names), "G_expr": pl.parse("ln(1+u^2)/2", names)}
+    spec = ProblemSpec(
+        mesh, p, bc, f_expr=pl.parse(BENCH_f, names), F_expr=pl.parse(BENCH_F, names), lambda1=10.0, **extra
+    )
+    free = spec.riesz.free
+    modes = np.sin if bc is pl.BCKind.DIRICHLET else np.cos  # cosines reach the boundary terms
+
+    def low_modes():
+        w = np.prod([modes(np.pi * np.outer(c, [1, 2, 3])) @ rng.uniform(-1, 1, 3) for c in mesh.nodes.T], axis=0)
+        if bc is pl.BCKind.DIRICHLET:
+            w[mesh.boundary_nodes] = 0.0
+        return w
+
+    rng = np.random.default_rng(5)
+    eps = 1e-5
+    for _ in range(3):
+        u, v = low_modes(), low_modes()
+        J = tangent(spec, Field(mesh, u))
+        fd = (weak_gradient(spec, Field(mesh, u + eps * v)) - weak_gradient(spec, Field(mesh, u - eps * v))) / (2 * eps)
+        assert np.linalg.norm((J @ v - fd)[free]) <= 1e-7 * np.linalg.norm(fd[free])
+        assert abs(J - J.T).max() <= 1e-12 * abs(J).max()
 
 
 def test_dirichlet_gradient_boundary_rows_zero(bench_128):

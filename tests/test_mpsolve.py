@@ -165,6 +165,17 @@ def test_cerami_history_bookkeeping(bench_solve_64):
     assert max(r.norm for r in result.cerami_history) < 1e3
 
 
+def test_polish_stops_when_residual_stalls(bench_solve_64):
+    # below tol = 1e-16 the residual stalls at rounding level; a step that
+    # leaves it unchanged must end the polish, not be recorded until max_iter
+    spec, _, cert, _ = bench_solve_64
+    result = mountain_pass(spec, cert.e, path_nodes=21, tol=1e-16, max_iter=300)
+    assert not result.converged
+    assert result.iterations < 50
+    records = result.cerami_history
+    assert all(a != b for a, b in zip(records, records[1:]))
+
+
 def test_mountain_pass_rejects_zero_e(bench_128):
     spec, _ = bench_128
     with pytest.raises(ValueError):
