@@ -94,12 +94,16 @@ def compute_first_eigenpair(
     den = lp_norm_p(Field(mesh, u), p)
     rq = num / den
 
+    def projected_gradient(u, rq, den):
+        """Projected Euclidean gradient of the Rayleigh quotient at u."""
+        return project_admissible(mesh, bc, (p * p_stiffness_vector(mesh, u, p) - rq * p * p_mass_vector(mesh, u, p)) / den)
+
     iterations = 0
     converged = False
     step = 1.0
     while iterations < max_iter:
         iterations += 1
-        grad = project_admissible(mesh, bc, (p * p_stiffness_vector(mesh, u, p) - rq * p * p_mass_vector(mesh, u, p)) / den)
+        grad = projected_gradient(u, rq, den)
         d = project_admissible(mesh, bc, riesz.solve(grad))
         slope = float(grad @ d)
         if slope <= 0.0:
@@ -143,9 +147,7 @@ def compute_first_eigenpair(
             converged = True
             break
 
-    # residual: dual norm of the projected Rayleigh gradient at the final iterate
-    grad = project_admissible(mesh, bc, (p * p_stiffness_vector(mesh, u, p) - rq * p * p_mass_vector(mesh, u, p)) / den)
-    residual = float(np.sqrt(max(float(grad @ riesz.solve(grad)), 0.0)))
+    residual = riesz.dual_norm(projected_gradient(u, rq, den))
 
     if not converged:
         raise ConvergenceError(

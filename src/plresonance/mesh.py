@@ -29,7 +29,8 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 __all__ = [
     "BCKind",
@@ -47,6 +48,7 @@ __all__ = [
     "p_stiffness_vector",
     "p_mass_vector",
     "load_vector",
+    "broadcast_values",
     "values_at_quad",
     "grad_at_elements",
     "RieszMap",
@@ -129,9 +131,6 @@ class Field:
     @classmethod
     def zeros(cls, mesh: Mesh) -> "Field":
         return cls(mesh, np.zeros(mesh.node_count))
-
-    def copy(self) -> "Field":
-        return Field(self.mesh, self.values.copy())
 
 
 # --------------------------------------------------------------------------
@@ -370,20 +369,29 @@ def p_mass_vector(mesh: Mesh, values: np.ndarray, p: float) -> np.ndarray:
 
 def load_vector(mesh: Mesh, fq) -> np.ndarray:
     """Nodal vector int f phi_i for integrand values fq at quadrature points."""
-    fq = np.broadcast_to(np.asarray(fq, dtype=float), mesh.quad_weights.shape)
-    return mesh.interp_t @ (mesh.quad_weights * fq).ravel()
+    return mesh.interp_t @ (mesh.quad_weights * broadcast_values(fq, mesh.quad_weights.shape)).ravel()
+
+
+def broadcast_values(values, shape: tuple) -> np.ndarray:
+    """values as a float array of the given shape, broadcast only when they do not have it (a constant)."""
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
 class RieszMap:
     """Prefactorized p=2 Riesz solve used as preconditioner and dual norm.
 
     Dirichlet uses the stiffness matrix restricted to interior nodes;
-    Neumann adds the mass matrix so the operator is nonsingular.
+    Neumann adds the mass matrix so the operator is nonsingular.  Either
+    matrix is symmetric positive definite, and both mesh builders number
+    nodes row by row, so its band is narrow (``bandwidth`` 1 in 1D, at
+    most nx + 2 on an nx-by-ny rectangle) without reordering.  It is
+    factored once as a banded Cholesky factor, and each solve is one
+    LAPACK band solve (dpbtrs) with that factor.
     """
 
     def __init__(self, mesh: Mesh, bc: BCKind):
         self.mesh = mesh
-        self.bc = bc
         K = stiffness_matrix(mesh)
         if bc is BCKind.DIRICHLET:
             self.free = mesh.interior_nodes
@@ -392,7 +400,18 @@ class RieszMap:
             self.free = np.arange(mesh.node_count)
             A = K + mass_matrix(mesh)
         self._matrix = A.tocsr()
-        self._solve = spla.factorized(A.tocsc())
+        upper = sp.triu(A, format="coo")
+        self.bandwidth = int((upper.col - upper.row).max())
+        # LAPACK upper band storage, band[w + i - j, j] = A[i, j]; Fortran order lets dpbtrf factor it in place
+        band = np.zeros((self.bandwidth + 1, A.shape[0]), order="F")
+        band[self.bandwidth + upper.row - upper.col, upper.col] = upper.data
+        self._factor = cholesky_banded(band, overwrite_ab=True)
+
+    def _solve(self, rf: np.ndarray) -> np.ndarray:
+        x, info = dpbtrs(self._factor, rf)
+        if info != 0:
+            raise LinAlgError(f"banded Cholesky solve failed (dpbtrs info = {info})")
+        return x
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """K^{-1} r on the admissible block, zero elsewhere."""

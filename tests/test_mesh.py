@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -257,6 +258,41 @@ def test_riesz_map_homogeneity_and_zero():
     rng = np.random.default_rng(4)
     r = rng.uniform(-1, 1, m.node_count)
     assert riesz.dual_norm(-2.5 * r) == pytest.approx(2.5 * riesz.dual_norm(r), rel=1e-12)
+
+
+# (mesh, nx): nx cells per row of the row-by-row node numbering, 1 for an interval
+_RIESZ_MESHES = {
+    "interval-7": (lambda: pl.build_interval_mesh(0.0, 1.0, 7), 1),
+    "rect-4x3": (lambda: pl.build_rectangle_mesh((0, 2), (0, 1), 4, 3), 4),
+    "rect-3x5": (lambda: pl.build_rectangle_mesh((0, 1), (-1, 1), 3, 5), 3),
+}
+
+
+@pytest.mark.parametrize("bc", list(pl.BCKind), ids=lambda bc: bc.value)
+@pytest.mark.parametrize("name", list(_RIESZ_MESHES))
+def test_riesz_solve_matches_sparse_direct_solve(name, bc):
+    m = _RIESZ_MESHES[name][0]()
+    riesz = RieszMap(m, bc)
+    if bc is pl.BCKind.DIRICHLET:
+        free = m.interior_nodes
+        A = stiffness_matrix(m)[free][:, free]
+    else:
+        free = np.arange(m.node_count)
+        A = stiffness_matrix(m) + mass_matrix(m)
+    r = np.random.default_rng(11).uniform(-1, 1, m.node_count)
+    x = riesz.solve(r)
+    expected = spsolve(A.tocsc(), r[free])
+    assert np.linalg.norm(x[free] - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.all(np.delete(x, free) == 0.0)
+    assert np.linalg.norm(riesz.apply(x)[free] - r[free]) <= 1e-12 * np.linalg.norm(r[free])
+
+
+@pytest.mark.parametrize("bc", list(pl.BCKind), ids=lambda bc: bc.value)
+@pytest.mark.parametrize("name", list(_RIESZ_MESHES))
+def test_riesz_factor_band_is_one_node_row_wide(name, bc):
+    # the factor is banded without reordering only because nodes are numbered row by row
+    build, nx = _RIESZ_MESHES[name]
+    assert 1 <= RieszMap(build(), bc).bandwidth <= nx + 2
 
 
 def test_field_csv_format(tmp_path):
