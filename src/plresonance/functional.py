@@ -28,7 +28,6 @@ from .mesh import (
     Field,
     Mesh,
     RieszMap,
-    broadcast_values,
     grad_seminorm_p,
     is_dirichlet_admissible,
     load_vector,
@@ -244,12 +243,14 @@ def energy(spec: ProblemSpec, u: Field) -> float:
     p = spec.p
     psi = grad_seminorm_p(u, p) / p
     uq = values_at_quad(mesh, u.values)
-    f_int = float((mesh.quad_weights * broadcast_values(spec.F(spec.quad_coords, uq), uq.shape)).sum())
+    f_int = float(
+        (mesh.quad_weights * np.broadcast_to(np.asarray(spec.F(spec.quad_coords, uq), dtype=float), uq.shape)).sum()
+    )
     if spec.bc_kind is BCKind.DIRICHLET:
         # ||u||_p^p as lp_norm_p computes it, from the values already at the quadrature points
         return psi - spec.lambda1 * float((mesh.quad_weights * np.abs(uq) ** p).sum()) / p - f_int
     ub = u.values[mesh.boundary_nodes]
-    gb = broadcast_values(spec.G(spec.boundary_coords, ub), ub.shape)
+    gb = np.broadcast_to(np.asarray(spec.G(spec.boundary_coords, ub), dtype=float), ub.shape)
     return psi - f_int + float(np.dot(spec.boundary_node_weights, gb))
 
 
@@ -272,7 +273,7 @@ def weak_gradient(spec: ProblemSpec, u: Field) -> np.ndarray:
         r[mesh.boundary_nodes] = 0.0
     else:
         ub = u.values[mesh.boundary_nodes]
-        gb = broadcast_values(spec.g(spec.boundary_coords, ub), ub.shape)
+        gb = np.broadcast_to(np.asarray(spec.g(spec.boundary_coords, ub), dtype=float), ub.shape)
         r[mesh.boundary_nodes] += spec.boundary_node_weights * gb
     return r
 

@@ -48,7 +48,6 @@ __all__ = [
     "p_stiffness_vector",
     "p_mass_vector",
     "load_vector",
-    "broadcast_values",
     "values_at_quad",
     "grad_at_elements",
     "RieszMap",
@@ -369,13 +368,8 @@ def p_mass_vector(mesh: Mesh, values: np.ndarray, p: float) -> np.ndarray:
 
 def load_vector(mesh: Mesh, fq) -> np.ndarray:
     """Nodal vector int f phi_i for integrand values fq at quadrature points."""
-    return mesh.interp_t @ (mesh.quad_weights * broadcast_values(fq, mesh.quad_weights.shape)).ravel()
-
-
-def broadcast_values(values, shape: tuple) -> np.ndarray:
-    """values as a float array of the given shape, broadcast only when they do not have it (a constant)."""
-    values = np.asarray(values, dtype=float)
-    return values if values.shape == shape else np.broadcast_to(values, shape)
+    fq = np.broadcast_to(np.asarray(fq, dtype=float), mesh.quad_weights.shape)
+    return mesh.interp_t @ (mesh.quad_weights * fq).ravel()
 
 
 class RieszMap:

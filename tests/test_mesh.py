@@ -271,7 +271,8 @@ _RIESZ_MESHES = {
 @pytest.mark.parametrize("bc", list(pl.BCKind), ids=lambda bc: bc.value)
 @pytest.mark.parametrize("name", list(_RIESZ_MESHES))
 def test_riesz_solve_matches_sparse_direct_solve(name, bc):
-    m = _RIESZ_MESHES[name][0]()
+    build, nx = _RIESZ_MESHES[name]
+    m = build()
     riesz = RieszMap(m, bc)
     if bc is pl.BCKind.DIRICHLET:
         free = m.interior_nodes
@@ -285,14 +286,8 @@ def test_riesz_solve_matches_sparse_direct_solve(name, bc):
     assert np.linalg.norm(x[free] - expected) <= 1e-12 * np.linalg.norm(expected)
     assert np.all(np.delete(x, free) == 0.0)
     assert np.linalg.norm(riesz.apply(x)[free] - r[free]) <= 1e-12 * np.linalg.norm(r[free])
-
-
-@pytest.mark.parametrize("bc", list(pl.BCKind), ids=lambda bc: bc.value)
-@pytest.mark.parametrize("name", list(_RIESZ_MESHES))
-def test_riesz_factor_band_is_one_node_row_wide(name, bc):
     # the factor is banded without reordering only because nodes are numbered row by row
-    build, nx = _RIESZ_MESHES[name]
-    assert 1 <= RieszMap(build(), bc).bandwidth <= nx + 2
+    assert 1 <= riesz.bandwidth <= nx + 2
 
 
 def test_field_csv_format(tmp_path):
