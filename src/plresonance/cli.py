@@ -137,16 +137,11 @@ class HypothesesConfig:
 
 @dataclass
 class SolverConfig:
-    eig_tol: float = 1e-10
-    eig_max_iter: int = 50_000
     tol: float = 1e-6
     max_iter: int = 20_000
     path_nodes: int = 21
     rho_grid: tuple = (0.05, 0.1, 0.2, 0.5, 1.0)
-    directions: int = 8
-    sphere_steps: int = 30
     a_max: float = 1e3
-    low_point_steps: int = 48
     seed: int = 0
 
 
@@ -217,15 +212,10 @@ _SCHEMA = (
     _Key("hypotheses", "vanish_u_min", float, lambda v, _: v > 0, "must be > 0"),
     _Key("hypotheses", "vanish_u_max", float, lambda v, _: v > 0, "must be > 0"),
     _Key("hypotheses", "signs", str, lambda v, _: v in ("both", "positive", "negative"), "must be both, positive, or negative"),
-    _Key("solver", "eig_tol", float, lambda v, _: v > 0, "must be positive"),
     _Key("solver", "tol", float, lambda v, _: v > 0, "must be positive"),
     _Key("solver", "a_max", float, lambda v, _: v > 0, "must be positive"),
-    _Key("solver", "eig_max_iter", int, lambda v, _: v >= 1, "out of range"),
     _Key("solver", "max_iter", int, lambda v, _: v >= 1, "out of range"),
     _Key("solver", "path_nodes", int, lambda v, _: v >= 3, "out of range"),
-    _Key("solver", "directions", int, lambda v, _: v >= 1, "out of range"),
-    _Key("solver", "sphere_steps", int, lambda v, _: v >= 1, "out of range"),
-    _Key("solver", "low_point_steps", int, lambda v, _: v >= 2, "out of range"),
     _Key("solver", "seed", int),
     _Key("solver", "rho_grid", _numbers, lambda v, _: bool(v) and not any(r <= 0 for r in v), "needs positive entries"),
 )
@@ -398,14 +388,7 @@ def run(subcommand: str, config: RunConfig, out_dir, seed: int | None = None) ->
         # --- eig
         stages["eig"] = {"status": "running"}
         try:
-            eigenpair = compute_first_eigenpair(
-                mesh,
-                config.problem.p,
-                config.problem.bc,
-                seed=run_seed,
-                tol=config.solver.eig_tol,
-                max_iter=config.solver.eig_max_iter,
-            )
+            eigenpair = compute_first_eigenpair(mesh, config.problem.p, config.problem.bc, seed=run_seed)
         except ConvergenceError as err:
             stages["eig"] = {"status": "error", "message": str(err), **err.diagnostics}
             return EXIT_NONCONVERGED
@@ -456,16 +439,7 @@ def run(subcommand: str, config: RunConfig, out_dir, seed: int | None = None) ->
         # --- geometry
         stages["geometry"] = {"status": "running"}
         try:
-            cert = certify_ring(
-                spec,
-                eigenpair,
-                config.solver.rho_grid,
-                directions=config.solver.directions,
-                seed=run_seed,
-                a_max=config.solver.a_max,
-                low_steps=config.solver.low_point_steps,
-                sphere_steps=config.solver.sphere_steps,
-            )
+            cert = certify_ring(spec, eigenpair, config.solver.rho_grid, seed=run_seed, a_max=config.solver.a_max)
         except GeometryCertificateError as err:
             stages["geometry"] = {"status": "failed", "message": str(err), "ring_trace": list(map(list, err.ring_trace))}
             return EXIT_GEOMETRY

@@ -14,12 +14,15 @@ domain violation (log of a non-positive number, square root of a
 negative, division by zero, fractional power of a negative base) raises
 ``DomainError`` instead of propagating NaN.
 
-A parsed formula is compiled once into a closure of numpy ufunc calls,
-the same calls in the same order as the checked tree walk, so both give
-the same bits.  ``evaluate`` runs the closure with floating-point errors
-raised; only when one is raised, or an input is not finite, does it
-re-walk the tree with a domain check at every node to name the
-offending sub-expression.
+Each operator and function is declared once: ``_OPERATORS`` and
+``_FUNCTIONS`` give its numpy ufunc, and for a function its argument
+count and domain rule.  The parser, the checked tree walk and the
+compiler all read these rows.  A parsed formula is compiled once into a
+closure of those ufunc calls, the same calls in the same order as the
+checked tree walk, so both give the same bits.  ``evaluate`` runs the
+closure with floating-point errors raised; only when one is raised, or
+an input is not finite, does it re-walk the tree with a domain check at
+every node to name the offending sub-expression.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,9 +50,31 @@ __all__ = [
 ]
 
 KNOWN_VARIABLES = ("x", "y", "u", "t")
-UNARY_FUNCTIONS = ("ln", "exp", "sin", "cos", "tanh", "abs", "sqrt", "atan")
-BINARY_FUNCTIONS = ("pow",)
 CONSTANTS = {"pi": math.pi}
+
+# The ufunc of each binary operator; the walk checks / and ^ (``_power``).
+_OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+
+class _Function(NamedTuple):
+    ufunc: np.ufunc
+    arity: int = 1
+    domain: tuple | None = None  # (test the argument must pass, DomainError message)
+
+
+# Every function of the grammar, for the parser, the checked walk and the compiler.
+_FUNCTIONS = {
+    "ln": _Function(np.log, domain=(lambda a: a > 0, "logarithm of a non-positive number")),
+    "exp": _Function(np.exp),
+    "sin": _Function(np.sin),
+    "cos": _Function(np.cos),
+    "tanh": _Function(np.tanh),
+    "abs": _Function(np.abs),
+    "sqrt": _Function(np.sqrt, domain=(lambda a: a >= 0, "square root of a negative number")),
+    "atan": _Function(np.arctan),
+    "pow": _Function(_OPERATORS["^"], arity=2),  # pow(a, b) is a^b, checked by _power as ^ is
+}
+UNARY_FUNCTIONS = tuple(name for name, fn in _FUNCTIONS.items() if fn.arity == 1)
 
 
 class ExprError(ValueError):
@@ -145,12 +171,6 @@ class Expression:
     def __reduce__(self):
         # closures do not pickle; the copy compiles its own
         return Expression, (self.root, self.allowed_variables, self.free_variables, self.source)
-
-    def evaluate(self, bindings=None):
-        return evaluate(self, bindings)
-
-    def __call__(self, **bindings):
-        return evaluate(self, bindings)
 
 
 # --------------------------------------------------------------------------
@@ -281,7 +301,7 @@ class _Parser:
         raise ExprSyntaxError(f"expected a value, found {text!r}" if text else "unexpected end of input", pos)
 
     def _call(self, name: str, pos: int) -> Node:
-        if name not in UNARY_FUNCTIONS and name not in BINARY_FUNCTIONS:
+        if name not in _FUNCTIONS:
             raise UnknownIdentifierError(f"unknown identifier '{name}'")
         self._next()  # consume '('
         args = [self._sum()]
@@ -291,7 +311,7 @@ class _Parser:
         kind, _, cpos = self._next()
         if kind != ")":
             raise ExprSyntaxError("expected ')' closing argument list", cpos)
-        want = 2 if name in BINARY_FUNCTIONS else 1
+        want = _FUNCTIONS[name].arity
         if len(args) != want:
             raise ArityError(f"{name} expects {want} argument(s), got {len(args)}")
         return Call(name, tuple(args))
@@ -405,7 +425,7 @@ def _power(node, base, expo):
         _check(~(neg & frac), node, b, "negative base raised to a non-integer power")
     _check(~((b == 0) & (e < 0)), node, e, "zero raised to a negative power")
     with np.errstate(over="ignore"):
-        return np.power(b, e)
+        return _OPERATORS["^"](b, e)
 
 
 def _eval(node: Node, bindings: dict):
@@ -418,42 +438,23 @@ def _eval(node: Node, bindings: dict):
     if isinstance(node, Neg):
         return -np.asarray(_eval(node.operand, bindings), dtype=float)
     if isinstance(node, Bin):
-        left = _eval(node.left, bindings)
-        if node.op == "+":
-            return np.asarray(left, dtype=float) + _eval(node.right, bindings)
-        if node.op == "-":
-            return np.asarray(left, dtype=float) - _eval(node.right, bindings)
-        if node.op == "*":
-            return np.asarray(left, dtype=float) * _eval(node.right, bindings)
+        left = np.asarray(_eval(node.left, bindings), dtype=float)
+        right = _eval(node.right, bindings)
+        if node.op == "^":
+            return _power(node, left, right)
         if node.op == "/":
-            right = np.asarray(_eval(node.right, bindings), dtype=float)
+            right = np.asarray(right, dtype=float)
             _check(right != 0, node, right, "division by zero")
-            return np.asarray(left, dtype=float) / right
-        return _power(node, left, _eval(node.right, bindings))
-    # function application
-    arg = np.asarray(_eval(node.args[0], bindings), dtype=float)
-    name = node.name
-    if name == "ln":
-        _check(arg > 0, node, arg, "logarithm of a non-positive number")
-        return np.log(arg)
-    if name == "sqrt":
-        _check(arg >= 0, node, arg, "square root of a negative number")
-        return np.sqrt(arg)
-    if name == "exp":
-        with np.errstate(over="ignore"):
-            return np.exp(arg)
-    if name == "sin":
-        return np.sin(arg)
-    if name == "cos":
-        return np.cos(arg)
-    if name == "tanh":
-        return np.tanh(arg)
-    if name == "abs":
-        return np.abs(arg)
-    if name == "atan":
-        return np.arctan(arg)
-    # pow(a, b)
-    return _power(node, arg, _eval(node.args[1], bindings))
+        return _OPERATORS[node.op](left, right)
+    fn = _FUNCTIONS[node.name]
+    args = [np.asarray(_eval(arg, bindings), dtype=float) for arg in node.args]
+    if fn.ufunc is _OPERATORS["^"]:
+        return _power(node, *args)
+    if fn.domain is not None:
+        test, message = fn.domain
+        _check(test(*args), node, args[0], message)
+    with np.errstate(over="ignore"):
+        return fn.ufunc(*args)
 
 
 def _evaluate_checked(expression: Expression, bindings: dict):
@@ -468,19 +469,6 @@ def _evaluate_checked(expression: Expression, bindings: dict):
 
 # --------------------------------------------------------------------------
 # Compilation
-
-_BINARY_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
-_CALL_UFUNCS = {
-    "ln": np.log,
-    "sqrt": np.sqrt,
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tanh": np.tanh,
-    "abs": np.abs,
-    "atan": np.arctan,
-    "pow": np.power,
-}
 
 
 def _structure_ids(root: Node):
@@ -532,17 +520,15 @@ def _compile_op(node: Node, slots: dict, ids: dict):
         slot = slots[node.name]
         return lambda values: values[slot]
     if isinstance(node, Neg):
-        operand = _compile_node(node.operand, slots, ids)
-        return lambda values: np.negative(operand(values))
-    if isinstance(node, Bin):
-        ufunc = _BINARY_UFUNCS[node.op]
-        left, right = _compile_node(node.left, slots, ids), _compile_node(node.right, slots, ids)
-        return lambda values: ufunc(left(values), right(values))
-    ufunc = _CALL_UFUNCS[node.name]
-    if len(node.args) == 1:
-        arg = _compile_node(node.args[0], slots, ids)
+        ufunc, args = np.negative, (node.operand,)
+    elif isinstance(node, Bin):
+        ufunc, args = _OPERATORS[node.op], (node.left, node.right)
+    else:
+        ufunc, args = _FUNCTIONS[node.name].ufunc, node.args
+    if len(args) == 1:
+        arg = _compile_node(args[0], slots, ids)
         return lambda values: ufunc(arg(values))
-    first, second = (_compile_node(a, slots, ids) for a in node.args)
+    first, second = (_compile_node(a, slots, ids) for a in args)
     return lambda values: ufunc(first(values), second(values))
 
 
@@ -571,9 +557,9 @@ def _evaluate_compiled(compiled: tuple, bindings: dict):
     """The compiled value, or None where the checked walk must decide.
 
     With finite inputs and finite literals, every value the checked walk
-    rejects (a zero divisor, ln or sqrt outside its domain, a negative base
-    to a fractional power, zero to a negative power) raises the
-    divide-by-zero or the invalid flag, and no intermediate can become
+    rejects (a zero divisor, a function argument outside its domain, a
+    negative base to a fractional power, zero to a negative power) raises
+    the divide-by-zero or the invalid flag, and no intermediate can become
     inf or NaN without raising a flag or overflowing.  So a run that raises
     nothing returns exactly what ``_evaluate_checked`` returns.  Non-finite
     inputs, overflow (which the walk lets through as inf), and bindings

@@ -76,14 +76,14 @@ class NumericAntiderivative:
     The unit parameterization r = u*tau is split into geometric decades
     of tau down to 1e-12 so integrands varying over many scales (for
     example 1/(1+r) up to r = 1e6) are resolved; the Gauss order per
-    segment is doubled until successive values agree to ``tol``.
+    segment is doubled until successive values agree to ``_TOL``.
     """
 
     _TAU_BREAKS = np.concatenate([[0.0], np.logspace(-12, 0, 13)])
+    _TOL = 1e-10
 
-    def __init__(self, fn, tol: float = 1e-10):
+    def __init__(self, fn):
         self.fn = fn
-        self.tol = tol
 
     def _apply(self, coords: dict, u: np.ndarray, order: int) -> np.ndarray:
         xi, w = np.polynomial.legendre.leggauss(order)
@@ -105,7 +105,7 @@ class NumericAntiderivative:
         prev = self._apply(coords, u_arr, 16)
         for order in (32, 64, 128):
             cur = self._apply(coords, u_arr, order)
-            if np.max(np.abs(cur - prev)) <= self.tol * (1.0 + np.max(np.abs(cur))):
+            if np.max(np.abs(cur - prev)) <= self._TOL * (1.0 + np.max(np.abs(cur))):
                 prev = cur
                 break
             prev = cur

@@ -58,6 +58,7 @@ VANISH_TOL = 0.01
 GROWTH_SLACK = 1e-9
 INTEGRAL_MARGIN = 1e-6
 MONOTONE_SLACK = 1e-12
+ZERO_EXPONENT_MAX = 8  # the small-u clause samples |u| = 10^-1 ... 10^-8
 
 H_RATIO_A_VALUES = (0.1, 0.5, 1.0, 2.0, 10.0)
 H_RATIO_B_EXPONENTS = (2, 3, 4, 5, 6)
@@ -72,7 +73,6 @@ class SamplePlan:
     ll_range: tuple = (10.0, 1e6)
     signs: tuple = (1.0, -1.0)
     growth_points_per_decade: int = 2
-    zero_exponent_max: int = 8
 
 
 @dataclass
@@ -255,7 +255,7 @@ def check_theta_limsup(spec: ProblemSpec, eigenpair: EigenPair, plan: SamplePlan
         raise ValueError("the Neumann small-u clause needs lambda1 from the eigen solve")
     mesh = spec.mesh
     p = spec.p
-    us = 10.0 ** (-np.arange(1, plan.zero_exponent_max + 1, dtype=float))
+    us = 10.0 ** (-np.arange(1, ZERO_EXPONENT_MAX + 1, dtype=float))
     xs = _node_xs(spec)
     n_nodes = mesh.node_count
 

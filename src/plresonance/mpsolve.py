@@ -53,6 +53,9 @@ _TIE_TOL = 1e-14
 _STALL_WINDOW = 40
 _STALL_DROP = 1e-13
 _PS_JUMP = 10.0  # norm growth that flags a short run (see detect_ps_violation)
+RING_DIRECTIONS = 8  # random start directions per sphere, beside +-u1
+SPHERE_STEPS = 30  # cap on the descent steps from each start
+LOW_POINT_STEPS = 48  # amplitudes scanned on the low-energy ray
 
 
 class LowPointNotFound(RuntimeError):
@@ -139,7 +142,7 @@ def find_low_point(
     spec: ProblemSpec,
     eigenpair: EigenPair | None = None,
     a_max: float = 1e3,
-    steps: int = 48,
+    steps: int = LOW_POINT_STEPS,
     min_norm: float = 0.0,
 ) -> Field:
     """First field on the low-energy ray with I <= 0 and norm > min_norm.
@@ -160,7 +163,7 @@ def find_low_point(
     return found
 
 
-def _sphere_descend(spec, u: np.ndarray, rho: float, steps: int):
+def _sphere_descend(spec, u: np.ndarray, rho: float):
     """Constrained descent on the ||.||_{1,p} = rho sphere via rescaling.
 
     Each line search starts at the step the previous one accepted (t = 1
@@ -172,7 +175,7 @@ def _sphere_descend(spec, u: np.ndarray, rho: float, steps: int):
     best = cur
     evals = 1
     t = 1.0
-    for _ in range(steps):
+    for _ in range(SPHERE_STEPS):
         r = weak_gradient(spec, Field(spec.mesh, u))
         d = project_admissible(spec.mesh, spec.bc_kind, spec.riesz.solve(r))
         slope = float(r @ d)
@@ -204,11 +207,8 @@ def certify_ring(
     spec: ProblemSpec,
     eigenpair: EigenPair,
     rho_grid,
-    directions: int = 8,
     seed: int = 0,
     a_max: float = 1e3,
-    low_steps: int = 48,
-    sphere_steps: int = 30,
 ) -> GeometryCertificate:
     """Estimate the sphere minimum per rho and pair it with a low point.
 
@@ -224,7 +224,7 @@ def certify_ring(
         raise ValueError("rho values must be positive")
     rng = np.random.default_rng(seed)
     dirs = []
-    for _ in range(directions):
+    for _ in range(RING_DIRECTIONS):
         v = project_admissible(spec.mesh, spec.bc_kind, rng.standard_normal(spec.mesh.node_count))
         if sobolev_norm_1p(Field(spec.mesh, v), spec.p) > 1e-12:
             dirs.append(v)
@@ -238,7 +238,7 @@ def certify_ring(
         for v in dirs:
             nrm = sobolev_norm_1p(Field(spec.mesh, v), spec.p)
             u0 = v * (rho / nrm)
-            best, evals = _sphere_descend(spec, u0, rho, sphere_steps)
+            best, evals = _sphere_descend(spec, u0, rho)
             samples += evals
             m = min(m, best)
         ring_trace.append((rho, float(m)))
@@ -250,7 +250,7 @@ def certify_ring(
             f"no sphere radius with positive sampled minimum; best pairs: {listing}", ring_trace
         )
     rho_star, a_estimate = positive[-1]
-    found, ray_trace = _scan_low_ray(spec, eigenpair, a_max, low_steps, rho_star)
+    found, ray_trace = _scan_low_ray(spec, eigenpair, a_max, LOW_POINT_STEPS, rho_star)
     if found is None:
         raise LowPointNotFound(
             f"certificate needs a low point with norm > {rho_star:g}; none found up to {a_max:g}", ray_trace

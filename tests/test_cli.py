@@ -285,6 +285,14 @@ def test_absent_keys_take_dataclass_defaults(tmp_path):
     assert cfg.problem.F is not None and cfg.problem.g is None
 
 
+@pytest.mark.parametrize("key", ["eig_tol", "eig_max_iter", "directions", "sphere_steps", "low_point_steps"])
+def test_fixed_solver_settings_are_unknown_keys(tmp_path, key):
+    # these take one value everywhere and are constants of the solver
+    text = bench_config_text().replace("[solver]", f"[solver]\n{key} = 8")
+    with pytest.raises(cli.ConfigError, match=rf"^line \d+: unknown key '{key}' in section \[solver\]$"):
+        cli.load_config(write(tmp_path, text))
+
+
 def test_2d_mesh_counts_name_their_key(tmp_path):
     text = bench_config_text().replace("dimension = 1", "dimension = 2").replace(
         "n = 128", "ymin = 0\nymax = 1\nnx = 1\nny = 8"

@@ -124,6 +124,34 @@ def test_theta_neumann_gap_integral_and_zero_G(neumann_bench_64):
     assert rep.evidence["g_zero_limit_max"] < 0.01
 
 
+def test_theta_neumann_fails_on_boundary_term():
+    # the interior passes; G/|u|^2 = 1/2 does not vanish at u = 0
+    spec, ep = make_spec(BENCH_f, BENCH_F, bc=pl.BCKind.NEUMANN, g="u", G="u^2/2")
+    rep = check_theta_limsup(spec, ep)
+    assert rep.verdict == FAIL
+    assert rep.evidence["gap_integral"] > 0
+    assert rep.witness["ratio_estimate"] == pytest.approx(0.5, rel=1e-12)
+
+
+# F = u^2 sin(ln|u|): p F/|u|^2 = 2 sin(ln|u|) keeps oscillating as u -> 0
+OSCILLATING_F = "u^2*sin(ln(abs(u)))"
+OSCILLATING_f = "2*u*sin(ln(abs(u))) + u*cos(ln(abs(u)))"
+
+
+def test_theta_oscillating_ratio_inconclusive():
+    spec, ep = make_spec(OSCILLATING_f, OSCILLATING_F, bc=pl.BCKind.NEUMANN)
+    rep = check_theta_limsup(spec, ep)
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.evidence["reason"] == "non-monotone small-u ratio tail"
+
+
+def test_theta_oscillating_boundary_ratio_inconclusive():
+    spec, ep = make_spec(BENCH_f, BENCH_F, bc=pl.BCKind.NEUMANN, g=OSCILLATING_f, G=OSCILLATING_F)
+    rep = check_theta_limsup(spec, ep)
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.evidence["reason"] == "non-monotone small-u G ratio"
+
+
 # --- subcritical vanishing ---------------------------------------------------
 
 
@@ -247,6 +275,16 @@ def test_ll_neumann_large_boundary_density_fails():
     rep = check_landesman_lazer(spec)
     # int mu = 4 must exceed the boundary integral 3 + 3 = 6: fails
     assert rep.verdict == FAIL
+
+
+def test_ll_neumann_fails_on_boundary_liminf():
+    # -(2G - g u)/ln u -> -2 < -h_boundary = 0, while the interior limit is 4 >= mu = 1
+    spec, _ = make_spec(BENCH_f, BENCH_F, bc=pl.BCKind.NEUMANN, g="u/(1+u^2)", G="ln(1+u^2)/2")
+    rep = check_landesman_lazer(spec)
+    assert rep.verdict == FAIL
+    assert rep.evidence["limit_estimate_min"] == pytest.approx(4.0, abs=0.05)
+    assert rep.evidence["boundary_limit_min"] == pytest.approx(-2.0, abs=0.05)
+    assert rep.witness["ratio_estimate"] == rep.evidence["boundary_limit_min"]
 
 
 # --- aggregation and invariants -----------------------------------------------
