@@ -126,13 +126,7 @@ class HypothesesConfig:
     a: str
     c1: float
     h_boundary: str | None = None
-    u_min: float = 1e-6
-    u_max: float = 1e6
     signs: str = "both"
-    ll_u_min: float = 10.0
-    ll_u_max: float = 1e6
-    vanish_u_min: float = 10.0
-    vanish_u_max: float = 1e6
 
 
 @dataclass
@@ -205,12 +199,6 @@ _SCHEMA = (
     _Key("hypotheses", "a", "xy", required=True),
     _Key("hypotheses", "c1", float, lambda v, _: not v < 0, "must be >= 0", required=True),
     _Key("hypotheses", "h_boundary", "xy", when=_NEUMANN_ONLY),
-    _Key("hypotheses", "u_min", float, lambda v, _: v > 0, "must be > 0"),
-    _Key("hypotheses", "u_max", float, lambda v, _: v > 0, "must be > 0"),
-    _Key("hypotheses", "ll_u_min", float, lambda v, _: v > 0, "must be > 0"),
-    _Key("hypotheses", "ll_u_max", float, lambda v, _: v > 0, "must be > 0"),
-    _Key("hypotheses", "vanish_u_min", float, lambda v, _: v > 0, "must be > 0"),
-    _Key("hypotheses", "vanish_u_max", float, lambda v, _: v > 0, "must be > 0"),
     _Key("hypotheses", "signs", str, lambda v, _: v in ("both", "positive", "negative"), "must be both, positive, or negative"),
     _Key("solver", "tol", float, lambda v, _: v > 0, "must be positive"),
     _Key("solver", "a_max", float, lambda v, _: v > 0, "must be positive"),
@@ -322,14 +310,8 @@ def _build_mesh(domain: DomainConfig):
 
 
 def _sample_plan(config: RunConfig) -> SamplePlan:
-    hyp = config.hypotheses
-    signs = {"both": (1.0, -1.0), "positive": (1.0,), "negative": (-1.0,)}[hyp.signs]
-    return SamplePlan(
-        growth_range=(hyp.u_min, hyp.u_max),
-        vanish_range=(hyp.vanish_u_min, hyp.vanish_u_max),
-        ll_range=(hyp.ll_u_min, hyp.ll_u_max),
-        signs=signs,
-    )
+    signs = {"both": (1.0, -1.0), "positive": (1.0,), "negative": (-1.0,)}[config.hypotheses.signs]
+    return SamplePlan(signs=signs)
 
 
 def _jsonable(value):
@@ -425,11 +407,7 @@ def run(subcommand: str, config: RunConfig, out_dir, seed: int | None = None) ->
         if "check" in stages_needed:
             stages["check"] = {"status": "running"}
             hyp_report = check_all(spec, eigenpair, exprs["a"], config.hypotheses.c1, _sample_plan(config))
-            stages["check"] = {
-                "status": "ok" if hyp_report.overall == PASS else "failed",
-                "overall": hyp_report.overall,
-                "clauses": [c.as_dict() for c in hyp_report.clauses],
-            }
+            stages["check"] = {"status": "ok" if hyp_report.overall == PASS else "failed", **hyp_report.as_dict()}
             if hyp_report.overall != PASS:
                 stages["check"]["message"] = f"hypothesis check did not pass (overall: {hyp_report.overall})"
                 return EXIT_HYPOTHESES

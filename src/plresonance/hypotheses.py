@@ -5,7 +5,11 @@ spatial points are the mesh nodes, and u is sampled geometrically
 (decades 10^k).  Asymptotic conditions are undecidable from finitely
 many samples, so every clause returns pass / fail / inconclusive
 together with the evidence that produced the verdict; a fail always
-carries a concrete witness.
+carries a concrete witness, taken from the sign of u whose estimate
+decides the verdict.
+
+A clause samples each term of the problem the same way: (f, F) on the
+mesh nodes and, for Neumann problems, (g, G) on the boundary nodes.
 
 Limit estimation uses two devices:
 
@@ -17,6 +21,10 @@ Limit estimation uses two devices:
   ratio behaves like L + c/ln|u|, so a least-squares fit in 1/ln|u| over
   the largest samples extrapolates the limit (the raw running minimum is
   recorded as evidence but converges too slowly to decide against).
+  L + c/ln|u| is monotone in |u|, so a fit is only trusted when its
+  four samples are monotone within 1e-12 relative slack and the fit
+  residual is at most 0.5 (1 + |L|); otherwise the clause is
+  inconclusive.
 
 Fixed tolerances: 0.05 on limit estimates, 0.01 on vanishing tails,
 1e-9 slack on pointwise growth bounds, 1e-6 margin on the integral
@@ -26,6 +34,7 @@ inequalities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,10 +72,12 @@ ZERO_EXPONENT_MAX = 8  # the small-u clause samples |u| = 10^-1 ... 10^-8
 H_RATIO_A_VALUES = (0.1, 0.5, 1.0, 2.0, 10.0)
 H_RATIO_B_EXPONENTS = (2, 3, 4, 5, 6)
 
+TAIL_FIT_REASON = "ratio tail does not follow a 1/ln(u) trend"
+
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """u-sampling ranges, configurable per clause."""
+    """u-sampling ranges of the clauses; a run config chooses only the signs."""
 
     growth_range: tuple = (1e-6, 1e6)
     vanish_range: tuple = (10.0, 1e6)
@@ -106,6 +117,45 @@ class HypothesisReport:
 
 # --------------------------------------------------------------------------
 # Sampling and limit-estimation helpers
+
+
+def _array(values, shape: tuple) -> np.ndarray:
+    """Evaluated values as a float array of ``shape``; a constant broadcasts."""
+    return np.broadcast_to(np.asarray(values, dtype=float), shape)
+
+
+class _Term(NamedTuple):
+    """A nonlinearity and its antiderivative on the nodes where they act."""
+
+    small: str  # "f" or "g"
+    big: str  # "F" or "G"
+    f: object  # (coords, u) -> values
+    F: object
+    coords: dict  # flat coordinates of the rows
+    on_boundary: bool
+
+    @property
+    def rows(self) -> int:
+        return len(next(iter(self.coords.values())))
+
+    def at_rows(self, expression: ex.Expression) -> np.ndarray:
+        return _array(ex.evaluate(expression, self.coords), (self.rows,))
+
+    def sample(self, fn, us: np.ndarray) -> np.ndarray:
+        """``fn(x, u)`` for every row x and sample u, shape (rows, len(us))."""
+        xs = {k: v[:, None] for k, v in self.coords.items()}
+        return _array(fn(xs, us[None, :]), (self.rows, len(us)))
+
+    def witness(self, row: int, **values) -> dict:
+        return {**{k: float(v[row]) for k, v in self.coords.items()}, **values}
+
+
+def _terms(spec: ProblemSpec) -> list:
+    """(f, F) on the mesh nodes, then for Neumann problems (g, G) on the boundary nodes."""
+    terms = [_Term("f", "F", spec.f, spec.F, spec.node_coords, False)]
+    if spec.bc_kind is BCKind.NEUMANN:
+        terms.append(_Term("g", "G", spec.g, spec.G, spec.boundary_coords, True))
+    return terms
 
 
 def _decade_values(lo: float, hi: float) -> np.ndarray:
@@ -151,8 +201,10 @@ def _settled_estimates(seq: np.ndarray):
 def _log_tail_fit(us: np.ndarray, seq: np.ndarray):
     """Least-squares extrapolation of seq ~ L + c/ln(u) over the tail.
 
-    Uses the last four samples.  Returns (limit, slope, fit_residual)
-    per row; the residual is the max deviation of the fitted line.
+    Uses the last four samples.  Returns (limit, fit_residual, trusted)
+    per row; the residual is the max deviation of the fitted line, and
+    a row is trusted when the residual is at most 0.5 (1 + |limit|) and
+    its four samples are monotone within MONOTONE_SLACK.
     """
     seq = np.atleast_2d(seq)
     npts = min(4, len(us))
@@ -163,24 +215,11 @@ def _log_tail_fit(us: np.ndarray, seq: np.ndarray):
     coef = y @ pinv.T  # (rows, 2)
     fit = coef @ a_mat.T
     res = np.max(np.abs(fit - y), axis=-1)
-    return coef[:, 0], coef[:, 1], res
-
-
-def _node_xs(spec: ProblemSpec) -> dict:
-    return {k: v[:, None] for k, v in spec.node_coords.items()}
-
-
-def _boundary_xs(spec: ProblemSpec) -> dict:
-    return {k: v[:, None] for k, v in spec.boundary_coords.items()}
-
-
-def _at_nodes(spec: ProblemSpec, expression: ex.Expression, coords: dict, count: int) -> np.ndarray:
-    vals = ex.evaluate(expression, coords)
-    return np.broadcast_to(np.asarray(vals, dtype=float), (count,)).copy()
-
-
-def _witness_coords(spec: ProblemSpec, coords: dict, row: int) -> dict:
-    return {k: float(v[:, 0][row]) for k, v in coords.items()}
+    d = np.diff(y, axis=-1)
+    slack = MONOTONE_SLACK * (1.0 + np.abs(y[:, :-1]))
+    monotone = (d >= -slack).all(axis=-1) | (d <= slack).all(axis=-1)
+    trusted = monotone & (res <= 0.5 * (1.0 + np.abs(coef[:, 0])))
+    return coef[:, 0], res, trusted
 
 
 def _inconclusive(clause: str, err: ex.DomainError, where: str) -> ClauseReport:
@@ -205,37 +244,22 @@ def check_growth(spec: ProblemSpec, a_expr: ex.Expression, c1: float, plan: Samp
     clause = "growth"
     us = _geom_values(*plan.growth_range, plan.growth_points_per_decade)
     us = np.concatenate([s * us for s in plan.signs])
-    checks = [("f", spec.f_expr, _node_xs(spec), spec.node_coords)]
-    if spec.bc_kind is BCKind.NEUMANN:
-        checks.append(("g", spec.g_expr, _boundary_xs(spec), spec.boundary_coords))
     max_margin = -np.inf
     samples = 0
-    for name, fn_expr, xs, flat_coords in checks:
-        n_rows = len(next(iter(flat_coords.values())))
+    for term in _terms(spec):
         try:
-            a_vals = _at_nodes(spec, a_expr, flat_coords, n_rows)
-            f_vals = np.abs(
-                np.broadcast_to(
-                    np.asarray(ex.evaluate(fn_expr, {**xs, "u": us[None, :]}), dtype=float),
-                    (n_rows, len(us)),
-                )
-            )
+            a_vals = term.at_rows(a_expr)
+            f_vals = np.abs(term.sample(term.f, us))
         except ex.DomainError as err:
-            return _inconclusive(clause, err, f"{name} over u in {plan.growth_range}")
+            return _inconclusive(clause, err, f"{term.small} over u in {plan.growth_range}")
         bound = a_vals[:, None] + c1 * np.abs(us[None, :]) ** (spec.p - 1) + GROWTH_SLACK
         excess = f_vals - bound
         samples += excess.size
         max_margin = max(max_margin, float(excess.max()))
         if np.any(excess > 0):
             row, col = np.unravel_index(int(np.argmax(excess)), excess.shape)
-            witness = _witness_coords(spec, xs, row)
-            witness.update(
-                {
-                    "u": float(us[col]),
-                    "value": float(f_vals[row, col]),
-                    "bound": float(bound[row, col]),
-                    "function": name,
-                }
+            witness = term.witness(
+                row, u=float(us[col]), value=float(f_vals[row, col]), bound=float(bound[row, col]), function=term.small
             )
             return ClauseReport(clause, FAIL, {"max_excess": float(excess.max()), "samples": samples}, witness)
     return ClauseReport(clause, PASS, {"max_excess": max_margin, "samples": samples})
@@ -256,86 +280,65 @@ def check_theta_limsup(spec: ProblemSpec, eigenpair: EigenPair, plan: SamplePlan
     mesh = spec.mesh
     p = spec.p
     us = 10.0 ** (-np.arange(1, ZERO_EXPONENT_MAX + 1, dtype=float))
-    xs = _node_xs(spec)
-    n_nodes = mesh.node_count
-
-    theta_vals = _at_nodes(spec, spec.theta_expr, spec.node_coords, n_nodes)
-    estimates = np.full(n_nodes, -np.inf)
-    any_oscillatory = None
-    for s in plan.signs:
-        try:
-            f_big = np.broadcast_to(
-                np.asarray(spec.F(xs, s * us[None, :]), dtype=float), (n_nodes, len(us))
-            )
-        except ex.DomainError as err:
-            return _inconclusive(clause, err, f"F near u = {s}*0")
-        ratios = p * f_big / us[None, :] ** p
-        est, settled, diverging = _settled_estimates(ratios)
-        bad = ~(settled | diverging)
-        if np.any(bad) and any_oscillatory is None:
-            row = int(np.argmax(bad))
-            any_oscillatory = {"x": _witness_coords(spec, xs, row), "sign": s}
-        estimates = np.maximum(estimates, est)
-    if any_oscillatory is not None:
-        return ClauseReport(
-            clause,
-            INCONCLUSIVE,
-            evidence={"reason": "non-monotone small-u ratio tail", **any_oscillatory["x"], "sign": any_oscillatory["sign"]},
-        )
-
-    gap = estimates - (theta_vals + LIMIT_TOL)
-    if np.any(gap > 0):
-        row = int(np.argmax(gap))
-        witness = _witness_coords(spec, xs, row)
-        witness.update({"u": float(plan.signs[0] * us[-1]), "ratio_estimate": float(estimates[row]), "theta": float(theta_vals[row])})
-        return ClauseReport(clause, FAIL, {"max_gap": float(gap.max())}, witness)
-
-    ceiling = 0.0 if spec.bc_kind is BCKind.DIRICHLET else spec.lambda1
-    above = theta_vals - ceiling
-    if np.any(above > 0):
-        row = int(np.argmax(above))
-        witness = _witness_coords(spec, xs, row)
-        witness.update({"theta": float(theta_vals[row]), "ceiling": float(ceiling)})
-        return ClauseReport(clause, FAIL, {"theta_max": float(theta_vals.max()), "ceiling": float(ceiling)}, witness)
-
-    theta_q = np.broadcast_to(
-        np.asarray(ex.evaluate(spec.theta_expr, spec.quad_coords), dtype=float), mesh.quad_weights.shape
-    )
-    u1q = np.abs(values_at_quad(mesh, eigenpair.u1.values)) ** p
-    evidence = {"limit_estimate_max": float(estimates.max()), "limit_estimate_min": float(estimates.min())}
-    if spec.bc_kind is BCKind.DIRICHLET:
-        integral = float((mesh.quad_weights * theta_q * u1q).sum())
-        evidence["theta_integral"] = integral
-        if not integral < -INTEGRAL_MARGIN:
-            return ClauseReport(clause, FAIL, evidence, {"theta_integral": integral, "required": f"< -{INTEGRAL_MARGIN}"})
-    else:
-        integral = float((mesh.quad_weights * (spec.lambda1 - theta_q) * u1q).sum())
-        evidence["gap_integral"] = integral
-        if not integral > INTEGRAL_MARGIN:
-            return ClauseReport(clause, FAIL, evidence, {"gap_integral": integral, "required": f"> {INTEGRAL_MARGIN}"})
-        # boundary term must be flat at zero: G(x, u)/|u|^p -> 0
-        bxs = _boundary_xs(spec)
-        nb = len(spec.boundary_coords["x"])
-        g_est = np.full(nb, -np.inf)
+    terms = _terms(spec)
+    theta_vals = terms[0].at_rows(spec.theta_expr)
+    evidence = {}
+    for term in terms:
+        # interior: limsup p F/|u|^p <= theta; boundary: |G|/|u|^p -> 0
+        estimates = []
         for s in plan.signs:
             try:
-                g_big = np.broadcast_to(np.asarray(spec.G(bxs, s * us[None, :]), dtype=float), (nb, len(us)))
+                big = term.sample(term.F, s * us)
             except ex.DomainError as err:
-                return _inconclusive(clause, err, f"G near u = {s}*0")
-            ratios = np.abs(g_big) / us[None, :] ** p
+                return _inconclusive(clause, err, f"{term.big} near u = {s}*0")
+            ratios = (np.abs(big) if term.on_boundary else p * big) / us[None, :] ** p
             est, settled, diverging = _settled_estimates(ratios)
-            if np.any(~(settled | diverging)):
-                row = int(np.argmax(~(settled | diverging)))
-                return ClauseReport(
-                    clause, INCONCLUSIVE, evidence={"reason": "non-monotone small-u G ratio", **_witness_coords(spec, bxs, row)}
-                )
-            g_est = np.maximum(g_est, est)
-        evidence["g_zero_limit_max"] = float(g_est.max())
-        if np.any(g_est >= VANISH_TOL):
-            row = int(np.argmax(g_est))
-            witness = _witness_coords(spec, bxs, row)
-            witness.update({"ratio_estimate": float(g_est[row])})
-            return ClauseReport(clause, FAIL, evidence, witness)
+            bad = ~(settled | diverging)
+            if np.any(bad):
+                reason = "non-monotone small-u G ratio" if term.on_boundary else "non-monotone small-u ratio tail"
+                where = term.witness(int(np.argmax(bad)), sign=s)
+                return ClauseReport(clause, INCONCLUSIVE, {"reason": reason, **where})
+            estimates.append(est)
+        side = np.argmax(estimates, axis=0)  # the sign whose estimate binds at each row
+        est = np.max(estimates, axis=0)
+        u_binding = np.asarray(plan.signs)[side] * us[-1]
+
+        if term.on_boundary:
+            evidence["g_zero_limit_max"] = float(est.max())
+            if np.any(est >= VANISH_TOL):
+                row = int(np.argmax(est))
+                witness = term.witness(row, u=float(u_binding[row]), ratio_estimate=float(est[row]))
+                return ClauseReport(clause, FAIL, evidence, witness)
+            continue
+
+        gap = est - (theta_vals + LIMIT_TOL)
+        if np.any(gap > 0):
+            row = int(np.argmax(gap))
+            witness = term.witness(
+                row, u=float(u_binding[row]), ratio_estimate=float(est[row]), theta=float(theta_vals[row])
+            )
+            return ClauseReport(clause, FAIL, {"max_gap": float(gap.max())}, witness)
+
+        ceiling = 0.0 if spec.bc_kind is BCKind.DIRICHLET else spec.lambda1
+        above = theta_vals - ceiling
+        if np.any(above > 0):
+            row = int(np.argmax(above))
+            witness = term.witness(row, theta=float(theta_vals[row]), ceiling=float(ceiling))
+            return ClauseReport(clause, FAIL, {"theta_max": float(theta_vals.max()), "ceiling": float(ceiling)}, witness)
+
+        theta_q = _array(ex.evaluate(spec.theta_expr, spec.quad_coords), mesh.quad_weights.shape)
+        u1q = np.abs(values_at_quad(mesh, eigenpair.u1.values)) ** p
+        evidence = {"limit_estimate_max": float(est.max()), "limit_estimate_min": float(est.min())}
+        if spec.bc_kind is BCKind.DIRICHLET:
+            integral = float((mesh.quad_weights * theta_q * u1q).sum())
+            evidence["theta_integral"] = integral
+            if not integral < -INTEGRAL_MARGIN:
+                return ClauseReport(clause, FAIL, evidence, {"theta_integral": integral, "required": f"< -{INTEGRAL_MARGIN}"})
+        else:
+            integral = float((mesh.quad_weights * (spec.lambda1 - theta_q) * u1q).sum())
+            evidence["gap_integral"] = integral
+            if not integral > INTEGRAL_MARGIN:
+                return ClauseReport(clause, FAIL, evidence, {"gap_integral": integral, "required": f"> {INTEGRAL_MARGIN}"})
     return ClauseReport(clause, PASS, evidence)
 
 
@@ -348,39 +351,32 @@ def check_subcritical_vanishing(spec: ProblemSpec, plan: SamplePlan = SamplePlan
     clause = "subcritical_vanishing"
     us = _decade_values(*plan.vanish_range)
     p = spec.p
-    checks = [("F", spec.F, _node_xs(spec))]
-    if spec.bc_kind is BCKind.NEUMANN:
-        checks.append(("G", spec.G, _boundary_xs(spec)))
     worst_final = 0.0
-    for name, fn, xs in checks:
-        n_rows = len(next(iter(xs.values())))
+    for term in _terms(spec):
         for s in plan.signs:
             try:
-                big = np.broadcast_to(np.asarray(fn(xs, s * us[None, :]), dtype=float), (n_rows, len(us)))
+                big = term.sample(term.F, s * us)
             except ex.DomainError as err:
-                return _inconclusive(clause, err, f"{name} over u in {sorted((s * us[0], s * us[-1]))}")
+                return _inconclusive(clause, err, f"{term.big} over u in {sorted((s * us[[0, -1]]).tolist())}")
             ratios = np.abs(big) / us[None, :] ** p
             growth = np.diff(ratios, axis=-1) > MONOTONE_SLACK * (1.0 + ratios[:, :-1])
             if np.any(growth):
                 row, col = np.unravel_index(int(np.argmax(growth)), growth.shape)
-                witness = _witness_coords(spec, xs, row)
-                witness.update(
-                    {
-                        "u": float(s * us[col + 1]),
-                        "ratio": float(ratios[row, col + 1]),
-                        "previous_ratio": float(ratios[row, col]),
-                        "function": name,
-                        "kind": "tail_growth",
-                    }
+                witness = term.witness(
+                    row,
+                    u=float(s * us[col + 1]),
+                    ratio=float(ratios[row, col + 1]),
+                    previous_ratio=float(ratios[row, col]),
+                    function=term.big,
+                    kind="tail_growth",
                 )
                 return ClauseReport(clause, FAIL, {"max_final_ratio": float(ratios[:, -1].max())}, witness)
             final = ratios[:, -1]
             worst_final = max(worst_final, float(final.max()))
             if np.any(final >= VANISH_TOL):
                 row = int(np.argmax(final))
-                witness = _witness_coords(spec, xs, row)
-                witness.update(
-                    {"u": float(s * us[-1]), "ratio": float(final[row]), "function": name, "kind": "tail_value"}
+                witness = term.witness(
+                    row, u=float(s * us[-1]), ratio=float(final[row]), function=term.big, kind="tail_value"
                 )
                 return ClauseReport(clause, FAIL, {"max_final_ratio": float(final.max())}, witness)
     return ClauseReport(clause, PASS, {"max_final_ratio": worst_final})
@@ -397,17 +393,16 @@ def check_h_regularity(h_expr: ex.Expression) -> ClauseReport:
     bs = 10.0 ** np.asarray(H_RATIO_B_EXPONENTS, dtype=float)
     a_vals = np.asarray(H_RATIO_A_VALUES)
     try:
-        h_b = np.broadcast_to(np.asarray(ex.evaluate(h_expr, {"t": bs}), dtype=float), bs.shape)
-        h_ab = np.broadcast_to(
-            np.asarray(ex.evaluate(h_expr, {"t": a_vals[:, None] * bs[None, :]}), dtype=float),
-            (len(a_vals), len(bs)),
-        )
+        h_b = _array(ex.evaluate(h_expr, {"t": bs}), bs.shape)
+        h_ab = _array(ex.evaluate(h_expr, {"t": a_vals[:, None] * bs[None, :]}), (len(a_vals), len(bs)))
     except ex.DomainError as err:
         return ClauseReport(clause, INCONCLUSIVE, {"reason": "h undefined on the sampled range", "detail": str(err)})
     if np.any(h_b <= 0) or np.any(h_ab <= 0):
         return ClauseReport(clause, INCONCLUSIVE, {"reason": "h is not positive on the sampled range"})
     ratios = h_ab / h_b[None, :]
-    est, slope, fit_res = _log_tail_fit(bs, ratios)
+    est, _, trusted = _log_tail_fit(bs, ratios)
+    if not trusted.all():
+        return ClauseReport(clause, INCONCLUSIVE, {"reason": TAIL_FIT_REASON, "a": a_vals[~trusted].tolist()})
     evidence = {
         "ratio_limits": {str(a): float(e) for a, e in zip(a_vals, est)},
         "h_low": float(h_b[0]),
@@ -442,103 +437,69 @@ def check_landesman_lazer(spec: ProblemSpec, plan: SamplePlan = SamplePlan()) ->
     p = spec.p
     us = _decade_values(*plan.ll_range)
     try:
-        h_us = np.broadcast_to(np.asarray(ex.evaluate(spec.h_expr, {"t": us}), dtype=float), us.shape)
+        h_us = _array(ex.evaluate(spec.h_expr, {"t": us}), us.shape)
     except ex.DomainError as err:
         return _inconclusive(clause, err, f"h over t in {plan.ll_range}")
     if np.any(h_us <= 0):
         return ClauseReport(clause, INCONCLUSIVE, {"reason": "h is not positive on the sampled range"})
 
-    xs = _node_xs(spec)
-    n_nodes = mesh.node_count
-    mu_vals = _at_nodes(spec, spec.mu_expr, spec.node_coords, n_nodes)
+    evidence = {}
+    for term in _terms(spec):
+        if term.on_boundary:  # liminf -(p G - g u)/h >= -h_boundary
+            weight_name, weight_expr, orient = "h_boundary", spec.h_boundary_expr, -1.0
+        else:  # liminf (p F - f u)/h >= mu
+            weight_name, weight_expr, orient = "mu", spec.mu_expr, 1.0
+        weight = np.zeros(term.rows) if weight_expr is None else term.at_rows(weight_expr)
+        ratios, limits, residuals = [], [], []
+        for s in plan.signs:
+            su = s * us
+            try:
+                r = orient * (p * term.sample(term.F, su) - term.sample(term.f, su) * su[None, :]) / h_us[None, :]
+            except ex.DomainError as err:
+                return _inconclusive(clause, err, f"{term.small}, {term.big} over u in {sorted(su[[0, -1]].tolist())}")
+            limit, residual, trusted = _log_tail_fit(us, r)
+            if not trusted.all():
+                where = term.witness(int(np.argmin(trusted)), sign=s, function=term.big)
+                return ClauseReport(clause, INCONCLUSIVE, {"reason": TAIL_FIT_REASON, **where})
+            ratios.append(r)
+            limits.append(limit)
+            residuals.append(residual)
+        side = np.argmin(limits, axis=0)  # the sign whose estimate binds at each row
+        liminf = np.min(limits, axis=0)
+        if term.on_boundary:
+            evidence["boundary_limit_min"] = float(liminf.min())
+        else:
+            evidence.update(
+                limit_estimate_min=float(liminf.min()),
+                limit_estimate_max=float(liminf.max()),
+                running_min=float(np.min(ratios)),
+                fit_residual_max=float(np.max(residuals)),
+            )
 
-    liminf_est = np.full(n_nodes, np.inf)
-    running_min = np.inf
-    worst_fit = 0.0
-    last_raw = None
-    for s in plan.signs:
-        try:
-            su = s * us[None, :]
-            f_big = np.broadcast_to(np.asarray(spec.F(xs, su), dtype=float), (n_nodes, len(us)))
-            f_small = np.broadcast_to(np.asarray(ex.evaluate(spec.f_expr, {**xs, "u": su}), dtype=float), (n_nodes, len(us)))
-        except ex.DomainError as err:
-            return _inconclusive(clause, err, f"f, F over u in {sorted((s * us[0], s * us[-1]))}")
-        ratios = (p * f_big - f_small * su) / h_us[None, :]
-        est, slope, fit_res = _log_tail_fit(us, ratios)
-        liminf_est = np.minimum(liminf_est, est)
-        running_min = min(running_min, float(ratios.min()))
-        worst_fit = max(worst_fit, float(fit_res.max()))
-        last_raw = ratios[:, -1]
-    if worst_fit > 0.5 * (1.0 + float(np.max(np.abs(liminf_est)))):
+        margin = liminf - (orient * weight - LIMIT_TOL)
+        if np.any(margin < 0):
+            row = int(np.argmin(margin))
+            witness = term.witness(
+                row,
+                u=float(plan.signs[side[row]] * us[-1]),
+                ratio_estimate=float(liminf[row]),
+                ratio_at_largest_u=float(ratios[side[row]][row, -1]),
+                **{weight_name: float(weight[row])},
+            )
+            return ClauseReport(clause, FAIL, evidence, witness)
+
+        if term.on_boundary:
+            weight_full = np.zeros(mesh.node_count)
+            weight_full[mesh.boundary_nodes] = weight
+            evidence["h_boundary_integral"] = boundary_integral(mesh, weight_full)
+        else:
+            weight_q = _array(ex.evaluate(spec.mu_expr, spec.quad_coords), mesh.quad_weights.shape)
+            evidence["mu_integral"] = float((mesh.quad_weights * weight_q).sum())
+
+    integrals = {k: evidence[k] for k in ("mu_integral", "h_boundary_integral") if k in evidence}
+    if not evidence["mu_integral"] - evidence.get("h_boundary_integral", 0.0) > INTEGRAL_MARGIN:
         return ClauseReport(
-            clause, INCONCLUSIVE, {"reason": "ratio tail does not follow a 1/ln(u) trend", "fit_residual": worst_fit}
-        )
-
-    evidence = {
-        "limit_estimate_min": float(liminf_est.min()),
-        "limit_estimate_max": float(liminf_est.max()),
-        "running_min": running_min,
-        "fit_residual_max": worst_fit,
-    }
-    margin = liminf_est - (mu_vals - LIMIT_TOL)
-    if np.any(margin < 0):
-        row = int(np.argmin(margin))
-        witness = _witness_coords(spec, xs, row)
-        witness.update(
-            {
-                "u": float(plan.signs[0] * us[-1]),
-                "ratio_estimate": float(liminf_est[row]),
-                "ratio_at_largest_u": float(last_raw[row]),
-                "mu": float(mu_vals[row]),
-            }
-        )
-        return ClauseReport(clause, FAIL, evidence, witness)
-
-    mu_q = np.broadcast_to(np.asarray(ex.evaluate(spec.mu_expr, spec.quad_coords), dtype=float), mesh.quad_weights.shape)
-    mu_integral = float((mesh.quad_weights * mu_q).sum())
-    evidence["mu_integral"] = mu_integral
-
-    if spec.bc_kind is BCKind.DIRICHLET:
-        if not mu_integral > INTEGRAL_MARGIN:
-            return ClauseReport(clause, FAIL, evidence, {"mu_integral": mu_integral, "required": f"> {INTEGRAL_MARGIN}"})
-        return ClauseReport(clause, PASS, evidence)
-
-    # Neumann: boundary liminf and the corrected integral inequality
-    bxs = _boundary_xs(spec)
-    nb = len(spec.boundary_coords["x"])
-    if spec.h_boundary_expr is None:
-        hb_vals = np.zeros(nb)
-    else:
-        hb_vals = _at_nodes(spec, spec.h_boundary_expr, spec.boundary_coords, nb)
-    b_est = np.full(nb, np.inf)
-    for s in plan.signs:
-        try:
-            su = s * us[None, :]
-            g_big = np.broadcast_to(np.asarray(spec.G(bxs, su), dtype=float), (nb, len(us)))
-            g_small = np.broadcast_to(np.asarray(ex.evaluate(spec.g_expr, {**bxs, "u": su}), dtype=float), (nb, len(us)))
-        except ex.DomainError as err:
-            return _inconclusive(clause, err, f"g, G over u in {sorted((s * us[0], s * us[-1]))}")
-        ratios = -(p * g_big - g_small * su) / h_us[None, :]
-        est, _, fit_res = _log_tail_fit(us, ratios)
-        b_est = np.minimum(b_est, est)
-    evidence["boundary_limit_min"] = float(b_est.min())
-    b_margin = b_est - (-hb_vals - LIMIT_TOL)
-    if np.any(b_margin < 0):
-        row = int(np.argmin(b_margin))
-        witness = _witness_coords(spec, bxs, row)
-        witness.update({"ratio_estimate": float(b_est[row]), "h_boundary": float(hb_vals[row])})
-        return ClauseReport(clause, FAIL, evidence, witness)
-
-    hb_full = np.zeros(mesh.node_count)
-    hb_full[mesh.boundary_nodes] = hb_vals
-    hb_integral = boundary_integral(mesh, hb_full)
-    evidence["h_boundary_integral"] = hb_integral
-    if not mu_integral - hb_integral > INTEGRAL_MARGIN:
-        return ClauseReport(
-            clause,
-            FAIL,
-            evidence,
-            {"mu_integral": mu_integral, "h_boundary_integral": hb_integral, "required": "mu integral larger"},
+            clause, FAIL, evidence, {**integrals, "required": f"mu_integral - h_boundary_integral > {INTEGRAL_MARGIN}"}
         )
     return ClauseReport(clause, PASS, evidence)
 

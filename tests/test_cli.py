@@ -281,7 +281,7 @@ def test_absent_keys_take_dataclass_defaults(tmp_path):
     cfg = cli.load_config(write(tmp_path, text))
     assert cfg.solver == cli.SolverConfig()
     assert (cfg.problem.consistency_u_min, cfg.problem.consistency_u_max) == (-2.0, 2.0)
-    assert (cfg.hypotheses.signs, cfg.hypotheses.u_min, cfg.hypotheses.vanish_u_max) == ("both", 1e-6, 1e6)
+    assert cfg.hypotheses.signs == "both"
     assert cfg.problem.F is not None and cfg.problem.g is None
 
 
@@ -290,6 +290,14 @@ def test_fixed_solver_settings_are_unknown_keys(tmp_path, key):
     # these take one value everywhere and are constants of the solver
     text = bench_config_text().replace("[solver]", f"[solver]\n{key} = 8")
     with pytest.raises(cli.ConfigError, match=rf"^line \d+: unknown key '{key}' in section \[solver\]$"):
+        cli.load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("key", ["u_min", "u_max", "ll_u_min", "ll_u_max", "vanish_u_min", "vanish_u_max"])
+def test_fixed_sampling_ranges_are_unknown_keys(tmp_path, key):
+    # the u-sampling ranges are the defaults of hypotheses.SamplePlan
+    text = bench_config_text().replace("[hypotheses]", f"[hypotheses]\n{key} = 100")
+    with pytest.raises(cli.ConfigError, match=rf"^line \d+: unknown key '{key}' in section \[hypotheses\]$"):
         cli.load_config(write(tmp_path, text))
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,20 @@ def test_theta_oscillating_boundary_ratio_inconclusive():
     assert rep.evidence["reason"] == "non-monotone small-u G ratio"
 
 
+# F = u^2 - u|u|: p F/|u|^2 is 0 for u > 0 and 4 for u < 0
+ONE_SIDED_F = "u^2 - u*abs(u)"
+ONE_SIDED_f = "2*u - 2*abs(u)"
+
+
+@pytest.mark.parametrize("signs", [(1.0, -1.0), (-1.0, 1.0)], ids=["plus_first", "minus_first"])
+def test_theta_witness_names_the_failing_sign(signs):
+    spec, ep = make_spec(ONE_SIDED_f, ONE_SIDED_F, theta="1")
+    rep = check_theta_limsup(spec, ep, SamplePlan(signs=signs))
+    assert rep.verdict == FAIL
+    assert rep.witness["u"] == -1e-8
+    assert rep.witness["ratio_estimate"] == pytest.approx(4.0, abs=1e-9)
+
+
 # --- subcritical vanishing ---------------------------------------------------
 
 
@@ -187,6 +203,12 @@ def test_vanishing_inconclusive_outside_domain():
     assert rep.verdict == INCONCLUSIVE
 
 
+def test_domain_region_reads_as_plain_numbers():
+    spec, _ = make_spec(LOG_RATIONAL_f, LOG_RATIONAL_F, consistency_u_range=(-0.9, 2.0))
+    assert check_subcritical_vanishing(spec).evidence["region"] == "F over u in [-1000000.0, -10.0]"
+    assert check_landesman_lazer(spec).evidence["region"] == "f, F over u in [-1000000.0, -10.0]"
+
+
 # --- h regularity ------------------------------------------------------------
 
 
@@ -219,6 +241,14 @@ def test_h_bounded_fails():
 def test_h_nonpositive_inconclusive():
     rep = check_h_regularity(pl.parse("-1", {"t"}))
     assert rep.verdict == INCONCLUSIVE
+
+
+def test_h_oscillating_ratio_inconclusive():
+    # h(0.1 b)/h(b) keeps oscillating; its liminf is about 0.36 < 1
+    rep = check_h_regularity(pl.parse("ln(t)*(2+sin(ln(t)))", {"t"}))
+    assert rep.verdict == INCONCLUSIVE
+    assert 0.1 in rep.evidence["a"]
+    json.dumps(rep.as_dict(), allow_nan=False)
 
 
 # --- Landesman-Lazer ----------------------------------------------------------
@@ -285,6 +315,34 @@ def test_ll_neumann_fails_on_boundary_liminf():
     assert rep.evidence["limit_estimate_min"] == pytest.approx(4.0, abs=0.05)
     assert rep.evidence["boundary_limit_min"] == pytest.approx(-2.0, abs=0.05)
     assert rep.witness["ratio_estimate"] == rep.evidence["boundary_limit_min"]
+
+
+def test_ll_neumann_oscillating_boundary_tail_inconclusive():
+    # -(2G - g u)/ln u has liminf -inf, but its decade samples end on 6.8e10
+    spec, _ = make_spec(BENCH_f, BENCH_F, bc=pl.BCKind.NEUMANN, g="u*cos(u)", G="cos(u) + u*sin(u) - 1")
+    rep = check_landesman_lazer(spec)
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.evidence["function"] == "G"
+    json.dumps(rep.as_dict(), allow_nan=False)
+
+
+# the Landesman-Lazer ratio against ln tends to 6 as u -> +inf and to 2 as u -> -inf
+ONE_SIDED_LL_F = "ln(1+u^2)*(1+0.5*tanh(u))"
+ONE_SIDED_LL_f = "2*u/(1+u^2)*(1+0.5*tanh(u)) + 0.5*ln(1+u^2)*(1-tanh(u)^2)"
+
+
+@pytest.mark.parametrize("signs", [(1.0, -1.0), (-1.0, 1.0)], ids=["plus_first", "minus_first"])
+def test_ll_witness_names_the_failing_sign(signs):
+    spec, _ = make_spec(ONE_SIDED_LL_f, ONE_SIDED_LL_F, mu="3")
+    rep = check_landesman_lazer(spec, SamplePlan(signs=signs))
+    assert rep.verdict == FAIL
+    assert rep.witness["u"] == -1e6
+    assert rep.witness["ratio_estimate"] == pytest.approx(2.0, abs=0.05)
+    # the raw ratio at u = -1e6, re-evaluated independently
+    u = -1e6
+    F_val = pl.evaluate(parse_u(ONE_SIDED_LL_F), {"u": u})
+    f_val = pl.evaluate(parse_u(ONE_SIDED_LL_f), {"u": u})
+    assert rep.witness["ratio_at_largest_u"] == pytest.approx((2 * F_val - f_val * u) / np.log(1e6), rel=1e-12)
 
 
 # --- aggregation and invariants -----------------------------------------------
